@@ -11,25 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dilation import H4Mode, assemble_dilated, tau_from_metric
-from .errors import (
-    BreakdownError,
-    ConvergenceError,
-    DegenerateDenominatorError,
-    DomainError,
-    InvalidMetricError,
-    NearBreakdownError,
-    OverflowRangeError,
-    PTDilateError,
-    PoleError,
-    ValidationError,
-)
+from .dilation import H4Mode, assemble_dilated
+from .errors import DegenerateDenominatorError, PTDilateError, ValidationError
 from .evolve import EvolutionConfig, dilation_efficiency, propagate_analytic, simulate_dilated
 from .metric import (
     DilationParams,
@@ -45,17 +35,6 @@ from .solutions import solution_basis
 
 __all__ = ["Scenario", "main"]
 
-_NUMERIC_ERRORS = (
-    DomainError,
-    PoleError,
-    ConvergenceError,
-    OverflowRangeError,
-    InvalidMetricError,
-    NearBreakdownError,
-    DegenerateDenominatorError,
-    BreakdownError,
-)
-
 _H4_MODES = {
     "hermitian_part": H4Mode.HERMITIAN_PART,
     "mirror": H4Mode.MIRROR,
@@ -68,6 +47,16 @@ def _fmt(x: float) -> str:
 
 def _round12(x: float) -> float:
     return float(_fmt(x))
+
+
+_FLOAT_KEYS = ("E", "omega", "d0_sq", "d1_sq", "t_start", "t_end", "grid_step")
+
+
+def _as_float(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
 
 
 @dataclass
@@ -86,6 +75,9 @@ class Scenario:
     initial_state: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def validate(self) -> "Scenario":
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.t_start < self.t_end:
             raise ValidationError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
         if self.grid_step <= 0.0:
@@ -94,15 +86,20 @@ class Scenario:
             raise ValidationError("d0_sq and d1_sq must be >= 0")
         if self.h4_mode not in _H4_MODES:
             raise ValidationError(f"unknown h4_mode {self.h4_mode!r}; use one of {sorted(_H4_MODES)}")
-        if len(self.initial_state) != 4:
-            raise ValidationError("initial_state must be four reals (re_up, im_up, re_down, im_down)")
+        if len(self.initial_state) != 4 or not all(math.isfinite(v) for v in self.initial_state):
+            raise ValidationError(
+                "initial_state must be four finite reals (re_up, im_up, re_down, im_down)"
+            )
         self.params  # validates omega > 0
         return self
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read scenario file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError("scenario file must hold a JSON object")
         known = {f.name for f in fields(cls)}
@@ -118,14 +115,18 @@ class Scenario:
             tol_unknown = set(tol_raw) - tol_known
             if tol_unknown:
                 raise ValidationError(f"unknown tolerance keys: {sorted(tol_unknown)}")
-            kwargs["tolerances"] = EvolutionConfig(**{k: float(v) for k, v in tol_raw.items()})
+            kwargs["tolerances"] = EvolutionConfig(
+                **{k: _as_float(f"tolerances.{k}", v) for k, v in tol_raw.items()}
+            )
         if "initial_state" in kwargs:
-            kwargs["initial_state"] = tuple(float(v) for v in kwargs["initial_state"])
+            if not isinstance(kwargs["initial_state"], list):
+                raise ValidationError("initial_state must be a list of four reals")
+            kwargs["initial_state"] = tuple(_as_float("initial_state", v) for v in kwargs["initial_state"])
         if "h4_mode" in kwargs and not isinstance(kwargs["h4_mode"], str):
             raise ValidationError("h4_mode must be a string")
-        for key in ("E", "omega", "d0_sq", "d1_sq", "t_start", "t_end", "grid_step"):
+        for key in _FLOAT_KEYS:
             if key in kwargs:
-                kwargs[key] = float(kwargs[key])
+                kwargs[key] = _as_float(key, kwargs[key])
         return cls(**kwargs).validate()
 
     @property
@@ -178,14 +179,16 @@ def cmd_spectrum(scn: Scenario, out: Path) -> None:
     _write_csv(out / "spectrum.csv", ["t", "re_lam_plus", "im_lam_plus", "re_lam_minus", "im_lam_minus", "phase"], rows)
 
 
-def cmd_metric_scan(scn: Scenario, out: Path) -> None:
-    p, d = scn.params, scn.dparams
-    basis = solution_basis(p)
+def _write_lambda_csv(path: Path, p, d, grid, basis) -> None:
     rows = []
-    for t in scn.grid():
+    for t in grid:
         lam_p, lam_m = eigenvalues(p, d, float(t), basis)
         rows.append([t, lam_m, lam_p, "1" if lam_m >= 1.0 - 1e-12 else "0"])
-    _write_csv(out / "metric_scan.csv", ["t", "lambda_minus", "lambda_plus", "valid"], rows)
+    _write_csv(path, ["t", "lambda_minus", "lambda_plus", "valid"], rows)
+
+
+def cmd_metric_scan(scn: Scenario, out: Path) -> None:
+    _write_lambda_csv(out / "metric_scan.csv", scn.params, scn.dparams, scn.grid(), solution_basis(scn.params))
 
 
 def cmd_bounds(scn: Scenario, out: Path) -> None:
@@ -240,10 +243,8 @@ def cmd_dilate(scn: Scenario, out: Path) -> None:
     header += ["hh_residual"]
     rows = []
     for t in scn.grid():
-        ms = metric(p, d, float(t), basis)
-        td = tau_from_metric(ms)
         dh = assemble_dilated(p, d, float(t), scn.mode, basis)
-        row = [t, td.a, td.b, td.c, td.d]
+        row = [t, dh.tau.a, dh.tau.b, dh.tau.c, dh.tau.d]
         for i in range(4):
             for j in range(4):
                 row += [dh.hh[i, j].real, dh.hh[i, j].imag]
@@ -254,20 +255,11 @@ def cmd_dilate(scn: Scenario, out: Path) -> None:
 
 def cmd_simulate(scn: Scenario, out: Path) -> None:
     p, d = scn.params, scn.dparams
-    basis = solution_basis(p)
-    if np.linalg.norm(scn.psi0) == 0.0:
-        raise ValidationError("initial_state must be nonzero")
-    cfg = EvolutionConfig(
-        rel_tol=scn.tolerances.rel_tol,
-        abs_tol=scn.tolerances.abs_tol,
-        max_step=scn.tolerances.max_step,
-        output_grid=scn.grid(),
-    )
-    traj = simulate_dilated(p, d, scn.psi0, (scn.t_start, scn.t_end), cfg, scn.mode, basis)
+    cfg = replace(scn.tolerances, output_grid=scn.grid())
+    traj = simulate_dilated(p, d, scn.psi0, (scn.t_start, scn.t_end), cfg, scn.mode)
     rows = []
     for k, t in enumerate(traj.times):
-        psi_ref = propagate_analytic(p, scn.psi0, scn.t_start, float(t), basis)
-        eff = dilation_efficiency(p, d, psi_ref, float(t), basis)
+        psi_ref = traj.extras["psi_ref"][k]
         row = [t]
         row += [psi_ref[0].real, psi_ref[0].imag, psi_ref[1].real, psi_ref[1].imag]
         for c in traj.states[k]:
@@ -276,7 +268,7 @@ def cmd_simulate(scn: Scenario, out: Path) -> None:
             traj.norms[k],
             traj.fidelity[k],
             traj.extras["lower_consistency"][k],
-            eff,
+            traj.extras["efficiency"][k],
             "1" if traj.valid[k] else "0",
         ]
         rows.append(row)
@@ -330,18 +322,14 @@ def cmd_paper_figures(out: Path, grid_step: float = 1e-3) -> None:
     for tag, d1_sq, t_end in _FIGURE_SETS:
         d = DilationParams(d0_sq, d1_sq)
         scn = Scenario(d1_sq=d1_sq, t_start=0.0, t_end=t_end, grid_step=grid_step)
-        rows = []
-        for t in scn.grid():
-            lam_p, lam_m = eigenvalues(p, d, float(t), basis)
-            rows.append([t, lam_m, lam_p, "1" if lam_m >= 1.0 - 1e-12 else "0"])
-        _write_csv(out / f"lambda_minus_d{tag}.csv", ["t", "lambda_minus", "lambda_plus", "valid"], rows)
+        _write_lambda_csv(out / f"lambda_minus_d{tag}.csv", p, d, scn.grid(), basis)
         t_break = breakdown_time(p, d, t_end)
         thresholds[f"breakdown_{tag}"] = None if t_break is None else _round12(t_break)
     d0_min, d1_min = approx_bounds_interval(p, (0.0, 4.0), basis)
     thresholds["approx_d0_min_0_4"] = _round12(d0_min)
     thresholds["approx_d1_min_0_4"] = _round12(d1_min)
     thresholds["approx_d1_min_0_4p5"] = _round12(approx_bounds_interval(p, (0.0, 4.5), basis)[1])
-    y0_21 = solution_basis(p).y0(2.1)
+    y0_21 = basis.y0(2.1)
     thresholds["y0_norm_sq_2p1"] = _round12(float(np.vdot(y0_21, y0_21).real))
     thresholds["refined_d1_bound_2p1"] = _round12(refined_d1_bound(p, d0_sq, 2.1, basis))
     _write_json(out / "thresholds.json", thresholds)
@@ -399,11 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric-domain error: {exc}", file=sys.stderr)
-        return 3
     except PTDilateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric-domain error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -67,7 +67,8 @@ class H4Mode(Enum):
 
 @dataclass
 class DilatedHamiltonian:
-    """Blocks and assembled 4x4 generator [[h1, h2], [h2^dag, h4]]."""
+    """Blocks and assembled 4x4 generator [[h1, h2], [h2^dag, h4]], with
+    the tau they were built from."""
 
     h1: np.ndarray
     h2: np.ndarray
@@ -75,6 +76,7 @@ class DilatedHamiltonian:
     hh: np.ndarray
     h4_mode: H4Mode
     h4_residual: float
+    tau: TauDecomp
 
 
 def _hermitian_from(a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -84,9 +86,9 @@ def _hermitian_from(a: float, b: float, c: float, d: float) -> np.ndarray:
     )
 
 
-def tau_entries(X: float, Y: float, Z: float, W: float) -> tuple[float, float, float, float]:
-    """(a, b, c, d) from the entries of a positive semidefinite tau^2."""
-    S = math.sqrt(max(W * W - X * X - Y * Y - Z * Z, 0.0))
+def _abcd(entries, S):
+    """(a, b, c, d) from the entries (X, Y, Z, W) of tau^2 and its S."""
+    X, Y, Z, W = entries
     d = math.sqrt(max((W + S) / 2.0, 0.0))
     if d == 0.0:
         # only happens for tau^2 = 0, where X = Y = Z = 0
@@ -94,17 +96,11 @@ def tau_entries(X: float, Y: float, Z: float, W: float) -> tuple[float, float, f
     return X / (2.0 * d), Y / (2.0 * d), Z / (2.0 * d), d
 
 
-def tau_dot_entries(
-    entries: tuple[float, float, float, float],
-    rates: tuple[float, float, float, float],
-) -> tuple[float, float, float, float]:
-    """(a', b', c', d') from (X, Y, Z, W) and their time derivatives."""
+def _abcd_rates(entries, rates, S):
+    """(a', b', c', d') by the chain rule through (X, Y, Z, W) and S > 0."""
     X, Y, Z, W = entries
     Xd, Yd, Zd, Wd = rates
-    S = math.sqrt(max(W * W - X * X - Y * Y - Z * Z, 0.0))
-    if S <= 0.0:
-        raise NearBreakdownError("tau derivative undefined where (eta - 1) is singular")
-    a, b, c, d = tau_entries(X, Y, Z, W)
+    a, b, c, d = _abcd(entries, S)
     Sd = (W * Wd - X * Xd - Y * Yd - Z * Zd) / S
     dd = (Wd + Sd) / (4.0 * d)
     ad = (Xd - 2.0 * a * dd) / (2.0 * d)
@@ -113,47 +109,59 @@ def tau_dot_entries(
     return ad, bd, cd, dd
 
 
+def _s_from_entries(entries) -> float:
+    X, Y, Z, W = entries
+    return math.sqrt(max(W * W - X * X - Y * Y - Z * Z, 0.0))
+
+
+def _s_from_state(ms: MetricState) -> float:
+    # the eigenvalue form is stable when W^2 nearly cancels against X^2+Y^2+Z^2
+    return math.sqrt(max((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0), 0.0))
+
+
+def tau_entries(X: float, Y: float, Z: float, W: float) -> tuple[float, float, float, float]:
+    """(a, b, c, d) from the entries of a positive semidefinite tau^2."""
+    entries = (X, Y, Z, W)
+    return _abcd(entries, _s_from_entries(entries))
+
+
+def tau_dot_entries(
+    entries: tuple[float, float, float, float],
+    rates: tuple[float, float, float, float],
+) -> tuple[float, float, float, float]:
+    """(a', b', c', d') from (X, Y, Z, W) and their time derivatives."""
+    S = _s_from_entries(entries)
+    if S <= 0.0:
+        raise NearBreakdownError("tau derivative undefined where (eta - 1) is singular")
+    return _abcd_rates(entries, rates, S)
+
+
 def tau_from_metric(ms: MetricState) -> TauDecomp:
     """Hermitian square root of eta - 1; requires lam_minus >= 1."""
     if ms.lambda_minus < 1.0 - TAU_VALID_TOL:
         raise InvalidMetricError(
             f"lambda_minus = {ms.lambda_minus} < 1 at t = {ms.t}; no Hermitian root"
         )
-    # S via the eigenvalues is stable when W^2 nearly cancels against X^2+Y^2+Z^2
-    S = math.sqrt(max((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0), 0.0))
-    d = math.sqrt(max((ms.W + S) / 2.0, 0.0))
-    if d == 0.0:
-        return TauDecomp(0.0, 0.0, 0.0, 0.0, np.zeros((2, 2), dtype=complex))
-    a = ms.X / (2.0 * d)
-    b = ms.Y / (2.0 * d)
-    c = ms.Z / (2.0 * d)
-    return TauDecomp(a, b, c, d, _hermitian_from(a, b, c, d))
+    abcd = _abcd((ms.X, ms.Y, ms.Z, ms.W), _s_from_state(ms))
+    return TauDecomp(*abcd, _hermitian_from(*abcd))
 
 
-def _rates_from_state(ms: MetricState) -> tuple[float, float, float, float]:
-    ed = ms.eta_dot
-    return (
-        float(ed[1, 0].real),
-        float(ed[1, 0].imag),
-        float((ed[0, 0].real - ed[1, 1].real) / 2.0),
-        float((ed[0, 0].real + ed[1, 1].real) / 2.0),
-    )
-
-
-def _tau_dot_from_state(ms: MetricState, td: TauDecomp) -> np.ndarray:
+def _tau_dot_from_state(ms: MetricState) -> np.ndarray:
+    # the guard comes first, so tau_derivative raises NearBreakdownError on
+    # both sides of the breakdown point
     if ms.lambda_minus - 1.0 < TAU_DOT_GUARD:
         raise NearBreakdownError(
             f"lambda_minus - 1 = {ms.lambda_minus - 1.0:.3e} at t = {ms.t}; "
             "the square root is not differentiable at the breakdown point"
         )
-    Xd, Yd, Zd, Wd = _rates_from_state(ms)
-    S = math.sqrt((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0))
-    Sd = (ms.W * Wd - ms.X * Xd - ms.Y * Yd - ms.Z * Zd) / S
-    dd = (Wd + Sd) / (4.0 * td.d)
-    ad = (Xd - 2.0 * td.a * dd) / (2.0 * td.d)
-    bd = (Yd - 2.0 * td.b * dd) / (2.0 * td.d)
-    cd = (Zd - 2.0 * td.c * dd) / (2.0 * td.d)
-    return _hermitian_from(ad, bd, cd, dd)
+    ed = ms.eta_dot
+    rates = (
+        float(ed[1, 0].real),
+        float(ed[1, 0].imag),
+        float((ed[0, 0].real - ed[1, 1].real) / 2.0),
+        float((ed[0, 0].real + ed[1, 1].real) / 2.0),
+    )
+    return _hermitian_from(*_abcd_rates((ms.X, ms.Y, ms.Z, ms.W), rates, _s_from_state(ms)))
 
 
 def tau_derivative(
@@ -163,13 +171,7 @@ def tau_derivative(
     basis: SolutionBasis | None = None,
 ) -> np.ndarray:
     """d tau / dt by the chain rule through (X, Y, Z, W) and their rates."""
-    ms = metric(p, d, t, basis)
-    if ms.lambda_minus - 1.0 < TAU_DOT_GUARD:
-        raise NearBreakdownError(
-            f"lambda_minus - 1 = {ms.lambda_minus - 1.0:.3e} at t = {t}; "
-            "the square root is not differentiable at the breakdown point"
-        )
-    return _tau_dot_from_state(ms, tau_from_metric(ms))
+    return _tau_dot_from_state(metric(p, d, t, basis))
 
 
 def _h4_from_pieces(mode, H, eta, tau, tau_dot):
@@ -193,13 +195,10 @@ def h4_select(
     basis: SolutionBasis | None = None,
 ) -> tuple[np.ndarray, float]:
     """Ancilla block for the chosen gauge, with its Hermiticity residual."""
-    H = hamiltonian(p, t)
     if mode is H4Mode.HERMITIAN_PART:
-        return _h4_from_pieces(mode, H, None, None, None)
-    ms = metric(p, d, t, basis)
-    td = tau_from_metric(ms)
-    tau_dot = _tau_dot_from_state(ms, td)
-    return _h4_from_pieces(mode, H, ms.eta, td.tau, tau_dot)
+        return _h4_from_pieces(mode, hamiltonian(p, t), None, None, None)
+    dh = assemble_dilated(p, d, t, mode, basis)
+    return dh.h4, dh.h4_residual
 
 
 def _blocks(H, tau, tau_dot, h4):
@@ -211,6 +210,17 @@ def _blocks(H, tau, tau_dot, h4):
     return h1, h2, hh
 
 
+def _assemble(ms: MetricState, mode: H4Mode) -> DilatedHamiltonian:
+    td = tau_from_metric(ms)
+    tau_dot = _tau_dot_from_state(ms)
+    H = hamiltonian(ms.params, ms.t)
+    h4, h4_residual = _h4_from_pieces(mode, H, ms.eta, td.tau, tau_dot)
+    h1, h2, hh = _blocks(H, td.tau, tau_dot, h4)
+    return DilatedHamiltonian(
+        h1=h1, h2=h2, h4=h4, hh=hh, h4_mode=mode, h4_residual=h4_residual, tau=td
+    )
+
+
 def assemble_dilated(
     p: HamiltonianParams,
     d: DilationParams,
@@ -219,13 +229,7 @@ def assemble_dilated(
     basis: SolutionBasis | None = None,
 ) -> DilatedHamiltonian:
     """4x4 generator of the embedded evolution at time t (valid metric)."""
-    ms = metric(p, d, t, basis)
-    td = tau_from_metric(ms)
-    tau_dot = _tau_dot_from_state(ms, td)
-    H = hamiltonian(p, t)
-    h4, h4_residual = _h4_from_pieces(mode, H, ms.eta, td.tau, tau_dot)
-    h1, h2, hh = _blocks(H, td.tau, tau_dot, h4)
-    return DilatedHamiltonian(h1=h1, h2=h2, h4=h4, hh=hh, h4_mode=mode, h4_residual=h4_residual)
+    return _assemble(metric(p, d, t, basis), mode)
 
 
 def principal_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -274,9 +278,5 @@ def hermiticity_defect(
     ms = metric(p, d, t, basis)
     if ms.lambda_minus < 1.0 - TAU_VALID_TOL:
         return post_breakdown_tau(ms)[1]
-    td = tau_from_metric(ms)
-    tau_dot = _tau_dot_from_state(ms, td)
-    H = hamiltonian(p, t)
-    h4, _ = _h4_from_pieces(mode, H, ms.eta, td.tau, tau_dot)
-    h1, _, _ = _blocks(H, td.tau, tau_dot, h4)
+    h1 = _assemble(ms, mode).h1
     return float(np.abs(h1 - h1.conj().T).max())

@@ -43,7 +43,7 @@ class EvolutionConfig:
     output_grid: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0 or self.max_step <= 0.0:
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0 and self.max_step > 0.0):
             raise ValidationError("tolerances and max_step must be positive")
         if self.output_grid is not None:
             grid = np.asarray(self.output_grid, dtype=float)
@@ -139,16 +139,21 @@ def simulate_dilated(
 
     The initial lower component uses the exact tau at span start.  Raises
     BreakdownError (with the computed time attached) if the dilation fails
-    inside the span.  Diagnostics: norm, fidelity of the upper component
-    against the analytic psi(t), validity flag, and in `extras` the lower
-    consistency ||Psi_low - tau Psi_up|| plus the relative upper deviation.
+    inside the span, in the representation of `basis`.  Diagnostics: norm,
+    fidelity of the upper component against the analytic psi(t), validity
+    flag, and in `extras`, one entry per sample:
+
+    - "psi_ref": the analytic psi(t), shape (n, 2);
+    - "efficiency": <psi|psi> / <psi|eta|psi> of the analytic psi(t);
+    - "lower_consistency": ||Psi_low - tau Psi_up||;
+    - "upper_deviation": ||Psi_up - psi|| / ||psi||.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (2,) or np.linalg.norm(psi0) == 0.0:
         raise ValidationError("psi0 must be a nonzero 2-dim complex vector")
     if basis is None:
         basis = solution_basis(p)
-    t_break = _breakdown_cached(p, d, float(span[1]))
+    t_break = _breakdown_cached(p, d, float(span[1]), basis)
     if t_break is not None and t_break <= float(span[1]):
         raise BreakdownError(
             f"dilation breaks down at t = {t_break:.6f}, inside the span {span}",
@@ -163,6 +168,8 @@ def simulate_dilated(
     traj = integrate_linear(generator, big_psi0, span, cfg)
 
     n = traj.times.size
+    psi_refs = np.empty((n, 2), dtype=complex)
+    efficiency = np.empty(n)
     fidelity = np.empty(n)
     valid = np.empty(n, dtype=bool)
     lower_consistency = np.empty(n)
@@ -175,15 +182,23 @@ def simulate_dilated(
         tau_t = tau_from_metric(ms).tau
         ref_norm = np.linalg.norm(psi_ref)
         up_norm = np.linalg.norm(upper)
+        psi_refs[k] = psi_ref
+        efficiency[k] = _efficiency(psi_ref, ms.eta)
         fidelity[k] = abs(np.vdot(psi_ref, upper)) ** 2 / (ref_norm**2 * up_norm**2)
         valid[k] = ms.lambda_minus >= 1.0 - 1e-12
         lower_consistency[k] = np.linalg.norm(lower - tau_t @ upper)
         upper_deviation[k] = np.linalg.norm(upper - psi_ref) / ref_norm
     traj.fidelity = fidelity
     traj.valid = valid
+    traj.extras["psi_ref"] = psi_refs
+    traj.extras["efficiency"] = efficiency
     traj.extras["lower_consistency"] = lower_consistency
     traj.extras["upper_deviation"] = upper_deviation
     return traj
+
+
+def _efficiency(psi: np.ndarray, eta: np.ndarray) -> float:
+    return float(np.vdot(psi, psi).real) / float(np.vdot(psi, eta @ psi).real)
 
 
 def dilation_efficiency(
@@ -194,8 +209,4 @@ def dilation_efficiency(
     basis: SolutionBasis | None = None,
 ) -> float:
     """<psi|psi> / <psi|eta(t)|psi>, in (0, 1] while the dilation is valid."""
-    psi = np.asarray(psi, dtype=complex)
-    ms = metric(p, d, t, basis)
-    num = float(np.vdot(psi, psi).real)
-    den = float(np.vdot(psi, ms.eta @ psi).real)
-    return num / den
+    return _efficiency(np.asarray(psi, dtype=complex), metric(p, d, t, basis).eta)

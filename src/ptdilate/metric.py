@@ -30,6 +30,7 @@ from .errors import (
 )
 from .model import HamiltonianParams, hamiltonian
 from .solutions import SolutionBasis, solution_basis
+from .specfun import ASYM_MIN_Z
 
 __all__ = [
     "DilationParams",
@@ -50,7 +51,6 @@ VALIDITY_TOL = 1e-12        # lam_minus >= 1 - this counts as valid
 SCAN_STEP = 1e-3            # grid step of every scan
 BISECT_XTOL = 1e-9          # breakdown-time bisection width
 _MP_Z_THRESHOLD = 12.0      # w t^2 beyond which doubles lose the small eigenvalue
-ASYM_MIN_Z = 10.0
 
 
 @dataclass(frozen=True)
@@ -381,8 +381,10 @@ def breakdown_time(
 
 
 @lru_cache(maxsize=256)
-def _breakdown_cached(p: HamiltonianParams, d: DilationParams, t_max: float) -> float | None:
-    return breakdown_time(p, d, t_max)
+def _breakdown_cached(
+    p: HamiltonianParams, d: DilationParams, t_max: float, basis: SolutionBasis
+) -> float | None:
+    return breakdown_time(p, d, t_max, basis)
 
 
 def metric_asymptotics(

@@ -2,11 +2,18 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptdilate.cli import Scenario, main
+from ptdilate.dilation import tau_from_metric
+from ptdilate.evolve import dilation_efficiency, propagate_analytic
+from ptdilate.metric import DilationParams, metric
+from ptdilate.model import HamiltonianParams
 
 
 def _write_scenario(path, **overrides):
@@ -45,6 +52,32 @@ class TestScenario:
         path = _write_scenario(tmp_path / "s.json", tolerances={"rtol": 1e-8})
         with pytest.raises(Exception):
             Scenario.from_file(path)
+
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({"grid_step": math.nan}, []),
+            ({"E": "x"}, []),
+            ({"d1_sq": math.nan}, []),
+            ({"t_end": math.inf}, []),
+            ({"omega": 10**400}, []),
+            ({"initial_state": [math.nan, 0, 0, 0]}, []),
+            ({"initial_state": "ab"}, []),
+            ({"initial_state": 5}, []),
+            ({"tolerances": {"rel_tol": "x"}}, []),
+            ({"tolerances": {"abs_tol": math.nan}}, []),
+            ({}, ["--grid-step", "nan"]),
+        ],
+    )
+    def test_malformed_values_exit_2(self, tmp_path, overrides, flags):
+        path = _write_scenario(tmp_path / "s.json", **{"t_end": 1.0, "grid_step": 0.5, **overrides})
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path), *flags]) == 2
+
+    def test_unreadable_file_exit_2(self, tmp_path):
+        bad = tmp_path / "s.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["spectrum", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
+        assert main(["spectrum", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
 
     def test_roundtrip(self, tmp_path):
         path = _write_scenario(
@@ -214,3 +247,101 @@ class TestArgparseBehavior:
         assert main(["breakdown", "--scenario", scn, "--tmax", "5.0", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "breakdown.json").read_text())
         assert report["breakdown_time"] == pytest.approx(4.0001, abs=0.002)
+
+
+class TestReusedDiagnostics:
+    """Columns the CLI takes from one diagnostics pass, against an
+    independent recomputation at the same time points."""
+
+    STATE = [0.31, -0.42, 0.77, 0.12]
+    GRID = np.linspace(0.0, 3.9, 14)   # t_end 3.9, grid_step 0.3
+
+    def test_simulate_columns(self, tmp_path):
+        scn = _write_scenario(tmp_path / "s.json", t_end=3.9, grid_step=0.3, initial_state=self.STATE)
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        header, rows = _read_csv(tmp_path / "simulate.csv")
+        p, d = HamiltonianParams(1.0, 0.5), DilationParams(3.5, 238.0)
+        psi0 = np.array([self.STATE[0] + 1j * self.STATE[1], self.STATE[2] + 1j * self.STATE[3]])
+        psi_cols = [header.index(c) for c in ("re_psi_up", "im_psi_up", "re_psi_down", "im_psi_down")]
+        eff_col = header.index("efficiency")
+        assert len(rows) == self.GRID.size
+        for row, t in zip(rows, self.GRID):
+            assert row[0] == f"{t:.11e}"
+            psi = propagate_analytic(p, psi0, 0.0, float(t))
+            expected = [psi[0].real, psi[0].imag, psi[1].real, psi[1].imag]
+            assert [row[c] for c in psi_cols] == [f"{x:.11e}" for x in expected]
+            assert row[eff_col] == f"{dilation_efficiency(p, d, psi, float(t)):.11e}"
+
+    def test_dilate_tau_columns(self, tmp_path):
+        scn = _write_scenario(tmp_path / "s.json", t_end=3.9, grid_step=0.3)
+        assert main(["dilate", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        header, rows = _read_csv(tmp_path / "dilate.csv")
+        p, d = HamiltonianParams(1.0, 0.5), DilationParams(3.5, 238.0)
+        cols = [header.index(c) for c in ("a", "b", "c", "d")]
+        assert len(rows) == self.GRID.size
+        for row, t in zip(rows, self.GRID):
+            assert row[0] == f"{t:.11e}"
+            td = tau_from_metric(metric(p, d, float(t)))
+            assert [row[c] for c in cols] == [f"{x:.11e}" for x in (td.a, td.b, td.c, td.d)]
+
+
+# values of the wrong type, non-finite or non-positive; the numbers that
+# pass validation stay small, so no example asks for a huge grid
+_JUNK = st.one_of(
+    st.floats(-1.0, 0.0),
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+)
+
+
+@st.composite
+def _scenarios(draw):
+    """A well-typed scenario with at most one value replaced by junk.
+
+    grid_step >= 6e-3 over a span of at most 7 keeps the grid under about
+    1000 points."""
+    payload = draw(
+        st.fixed_dictionaries(
+            {"grid_step": st.floats(6e-3, 1.0)},
+            optional={
+                "E": st.floats(-5.0, 5.0),
+                "omega": st.floats(1e-3, 3.0),
+                "d0_sq": st.floats(0.0, 500.0),
+                "d1_sq": st.floats(0.0, 500.0),
+                "t_start": st.floats(-2.0, 2.0),
+                "t_end": st.floats(-2.0, 4.0),
+                "h4_mode": st.sampled_from(["hermitian_part", "mirror"]),
+                "initial_state": st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+                "tolerances": st.dictionaries(
+                    st.sampled_from(["rel_tol", "abs_tol", "max_step"]),
+                    st.floats(1e-12, 1e-2),
+                    max_size=3,
+                ),
+            },
+        )
+    )
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([*payload, "unknown"]))
+        junk = draw(_JUNK)
+        if key == "initial_state" and draw(st.booleans()):
+            payload[key] = [junk, 0.0, 0.0, 0.0]
+        elif key == "tolerances" and draw(st.booleans()):
+            payload[key] = {"rel_tol": junk}
+        else:
+            payload[key] = junk
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=st.one_of(_scenarios(), _JUNK))
+def test_any_scenario_json_maps_to_an_exit_code(payload):
+    """The exit-code contract: every scenario file gives 0, 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["spectrum", "--scenario", str(path), "--out", tmp]) in (0, 2, 3)

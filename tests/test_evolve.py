@@ -14,7 +14,7 @@ from ptdilate.evolve import (
 )
 from ptdilate.metric import DilationParams, metric
 from ptdilate.model import HamiltonianParams, hamiltonian
-from ptdilate.solutions import solution_basis, x_basis_closed_half, y_basis
+from ptdilate.solutions import Representation, solution_basis, x_basis_closed_half, y_basis
 
 P = HamiltonianParams(E=1.0, omega=0.5)
 D_REF = DilationParams(3.5, 238.0)
@@ -89,6 +89,14 @@ class TestSimulateDilated:
         with pytest.raises(BreakdownError) as err:
             simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, 4.2))
         assert err.value.breakdown_time == pytest.approx(4.0001, abs=0.002)
+
+    def test_breakdown_guard_uses_the_given_basis(self):
+        # the Whittaker normalization breaks down at 3.8939, the closed form
+        # only at 4.0001, so a guard on the closed form would let [0, 3.95] pass
+        whittaker = solution_basis(P, Representation.WHITTAKER_GENERAL)
+        with pytest.raises(BreakdownError) as err:
+            simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, 3.95), basis=whittaker)
+        assert err.value.breakdown_time == pytest.approx(3.8939, abs=1e-4)
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValidationError):
