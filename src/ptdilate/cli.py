@@ -20,7 +20,7 @@ import numpy as np
 
 from .dilation import H4Mode, assemble_dilated
 from .errors import DegenerateDenominatorError, PTDilateError, ValidationError
-from .evolve import EvolutionConfig, dilation_efficiency, propagate_analytic, simulate_dilated
+from .evolve import EvolutionConfig, _analytic_path, _efficiency, simulate_dilated
 from .metric import (
     DilationParams,
     approx_bounds_interval,
@@ -50,6 +50,7 @@ def _round12(x: float) -> float:
 
 
 _FLOAT_KEYS = ("E", "omega", "d0_sq", "d1_sq", "t_start", "t_end", "grid_step")
+MAX_GRID_POINTS = 10**6     # largest (t_end - t_start) / grid_step a scenario may ask for
 
 
 def _as_float(key: str, value) -> float:
@@ -80,8 +81,10 @@ class Scenario:
                 raise ValidationError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.t_start < self.t_end:
             raise ValidationError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
-        if self.grid_step <= 0.0:
-            raise ValidationError(f"grid_step must be positive, got {self.grid_step}")
+        if not self.grid_step >= (self.t_end - self.t_start) / MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid_step must be positive with at most {MAX_GRID_POINTS} steps, got {self.grid_step}"
+            )
         if self.d0_sq < 0.0 or self.d1_sq < 0.0:
             raise ValidationError("d0_sq and d1_sq must be >= 0")
         if self.h4_mode not in _H4_MODES:
@@ -296,12 +299,13 @@ def cmd_efficiency(scn: Scenario, out: Path) -> None:
     basis = solution_basis(p)
     if np.linalg.norm(scn.psi0) == 0.0:
         raise ValidationError("initial_state must be nonzero")
+    psi_at = _analytic_path(basis, scn.psi0, scn.t_start)
     rows = []
     for t in scn.grid():
-        psi_t = propagate_analytic(p, scn.psi0, scn.t_start, float(t), basis)
-        eff = dilation_efficiency(p, d, psi_t, float(t), basis)
-        eta_norm = float(np.vdot(psi_t, metric(p, d, float(t), basis).eta @ psi_t).real)
-        rows.append([t, eff, eta_norm])
+        psi_t = psi_at(float(t))
+        eta = metric(p, d, float(t), basis).eta
+        eta_norm = float(np.vdot(psi_t, eta @ psi_t).real)
+        rows.append([t, _efficiency(psi_t, eta), eta_norm])
     _write_csv(out / "efficiency.csv", ["t", "efficiency", "eta_weighted_norm"], rows)
 
 
@@ -321,7 +325,7 @@ def cmd_paper_figures(out: Path, grid_step: float = 1e-3) -> None:
     thresholds: dict = {"d0_sq": d0_sq}
     for tag, d1_sq, t_end in _FIGURE_SETS:
         d = DilationParams(d0_sq, d1_sq)
-        scn = Scenario(d1_sq=d1_sq, t_start=0.0, t_end=t_end, grid_step=grid_step)
+        scn = Scenario(d1_sq=d1_sq, t_start=0.0, t_end=t_end, grid_step=grid_step).validate()
         _write_lambda_csv(out / f"lambda_minus_d{tag}.csv", p, d, scn.grid(), basis)
         t_break = breakdown_time(p, d, t_end)
         thresholds[f"breakdown_{tag}"] = None if t_break is None else _round12(t_break)

@@ -118,12 +118,19 @@ def propagate_analytic(
     basis: SolutionBasis | None = None,
 ) -> np.ndarray:
     """psi(t) from the basis combination matching psi0 at t0."""
-    if basis is None:
-        basis = solution_basis(p)
+    return _analytic_path(basis or solution_basis(p), psi0, t0)(t)
+
+
+def _analytic_path(basis: SolutionBasis, psi0: np.ndarray, t0: float) -> Callable[[float], np.ndarray]:
+    """t -> psi(t), with the combination matching psi0 at t0 solved once."""
     x0_0, x1_0 = basis.x_pair(t0)
-    coeffs = np.linalg.solve(np.column_stack([x0_0, x1_0]), np.asarray(psi0, dtype=complex))
-    x0_t, x1_t = basis.x_pair(t)
-    return coeffs[0] * x0_t + coeffs[1] * x1_t
+    c0, c1 = np.linalg.solve(np.column_stack([x0_0, x1_0]), np.asarray(psi0, dtype=complex))
+
+    def psi(t: float) -> np.ndarray:
+        x0_t, x1_t = basis.x_pair(t)
+        return c0 * x0_t + c1 * x1_t
+
+    return psi
 
 
 def simulate_dilated(
@@ -174,8 +181,9 @@ def simulate_dilated(
     valid = np.empty(n, dtype=bool)
     lower_consistency = np.empty(n)
     upper_deviation = np.empty(n)
+    psi_at = _analytic_path(basis, psi0, float(span[0]))
     for k, t in enumerate(traj.times):
-        psi_ref = propagate_analytic(p, psi0, float(span[0]), float(t), basis)
+        psi_ref = psi_at(float(t))
         upper = traj.states[k, :2]
         lower = traj.states[k, 2:]
         ms = metric(p, d, float(t), basis)

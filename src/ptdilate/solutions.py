@@ -11,9 +11,10 @@ form, which is the canonical normalization:
     gamma = -i sqrt(2) erfi(t / sqrt(2))
     delta = e^{t^2/2} - sqrt(2) t erfi(t / sqrt(2))
 
-with the prefactor-free erfi from `specfun`.  The Whittaker representation
-is never rescaled onto the closed form; cross-representation checks compare
-ratios only.
+with the prefactor-free erfi(x) = e^{x^2} F(x) of `specfun`, F Dawson's
+integral (DLMF 7.2.5).  delta = e^{t^2/2} (1 - 2 x F(x)), x = t / sqrt(2),
+does not cancel in doubles.  The Whittaker representation is never rescaled
+onto the closed form; cross-representation checks compare ratios only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from scipy.special import dawsn
 
 from .errors import DomainError, OverflowRangeError, ValidationError
 from .model import HamiltonianParams, hamiltonian
@@ -38,7 +40,6 @@ from .specfun import (
     _whittaker_asym_mp,
     _whittaker_series_mp,
     ASYM_CROSSOVER,
-    erfi,
 )
 
 __all__ = [
@@ -59,8 +60,6 @@ __all__ = [
 MU = 0.25                   # second Whittaker index of the model
 T_SMALL = 1e-3              # below this the Whittaker basis uses the sqrt(t) limit
 CLOSED_FORM_T_MAX = 6.0     # closed-form horizon without rescaling
-_CLOSED_MP_T = 3.0          # beyond this delta is accumulated in extended precision
-_CLOSED_MP_DPS = 35
 RESIDUAL_STEP_SCALE = 1e-6  # finite-difference step is this times max(1, |t|)
 
 
@@ -74,27 +73,7 @@ class Representation(Enum):
     CLOSED_FORM_HALF = "closed_form_half"
 
 
-# --- closed-form scalars (omega = 1/2) -------------------------------------
-
-@lru_cache(maxsize=1 << 16)
-def _closed_scalars(t: float) -> tuple[complex, float]:
-    """(gamma, delta) without the e^{-iEt - t^2/4} prefactor.
-
-    The two leading contributions to delta cancel, so for |t| > 3 the
-    subtraction runs in extended precision before rounding back.
-    """
-    if abs(t) <= _CLOSED_MP_T:
-        e = erfi(t / math.sqrt(2.0))
-        gamma = -1j * math.sqrt(2.0) * e
-        delta = math.exp(t * t / 2.0) - math.sqrt(2.0) * t * e
-        return gamma, delta
-    with mp.workdps(_CLOSED_MP_DPS):
-        tm = mp.mpf(t)
-        e = _erfi_series_mp(tm / mp.sqrt(2))
-        gamma = complex(-1j * mp.sqrt(2) * e)
-        delta = float(mp.exp(tm * tm / 2) - mp.sqrt(2) * tm * e)
-        return gamma, delta
-
+# --- closed form (omega = 1/2) ---------------------------------------------
 
 def _closed_scalars_mp(t):
     """(gamma, delta) as mpmath values at the caller's precision."""
@@ -109,7 +88,10 @@ def x_basis_closed_half(E: float, t: float) -> tuple[np.ndarray, np.ndarray]:
         raise OverflowRangeError(
             f"closed-form basis is limited to |t| <= {CLOSED_FORM_T_MAX} without rescaling"
         )
-    gamma, delta = _closed_scalars(float(t))
+    x = float(t) / math.sqrt(2.0)
+    f = float(dawsn(x))  # Dawson's integral F(x)
+    growth = math.exp(x * x)
+    gamma, delta = -1j * math.sqrt(2.0) * growth * f, growth * (1.0 - 2.0 * x * f)
     pref = cmath.exp(-1j * E * t - t * t / 4.0)
     x0 = np.array([pref, -1j * t * pref], dtype=complex)
     x1 = np.array([pref * gamma, pref * delta], dtype=complex)

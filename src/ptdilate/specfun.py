@@ -1,8 +1,9 @@
 """Special functions backing the analytic solution machinery.
 
 Whittaker W on two rays of the complex plane, Kummer's M series, the
-prefactor-free imaginary error function, physicists' Hermite polynomials
-and the principal-branch log-Gamma.
+prefactor-free imaginary error function e^{x^2} F(x) through Dawson's
+integral F (DLMF 7.2.5), physicists' Hermite polynomials and the
+principal-branch log-Gamma.
 
 Everything here is a pure function of its arguments.  Whittaker values are
 computed in mpmath working precision sized to the argument, because the
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import mpmath as mp
+from scipy.special import dawsn
 
 from .errors import (
     ConvergenceError,
@@ -251,23 +253,8 @@ def whittaker_asymptotic(idx: WhittakerIndex, z: RayArgument) -> complex:
     return complex(modulus, 0.0)
 
 
-def _erfi_series_float(x: float) -> float:
-    # integral_0^x e^{s^2} ds = sum_n x^(2n+1) / (n! (2n+1)); all terms positive
-    xx = x * x
-    power = x          # x^(2n+1) / n!
-    total = x
-    n = 1
-    while True:
-        power *= xx / n
-        term = power / (2 * n + 1)
-        total += term
-        if term <= 1e-17 * total:
-            return total
-        n += 1
-
-
 def _erfi_series_mp(x):
-    """Same series in mpmath arithmetic at the caller's precision."""
+    """erfi by its series sum_n x^(2n+1) / (n! (2n+1)) at the caller's mpmath precision."""
     xx = x * x
     power = x
     total = x
@@ -277,7 +264,7 @@ def _erfi_series_mp(x):
         power *= xx / n
         term = power / (2 * n + 1)
         total += term
-        if term <= eps * total:
+        if abs(term) <= eps * abs(total):
             return total
         n += 1
 
@@ -285,16 +272,15 @@ def _erfi_series_mp(x):
 def erfi(x: float) -> float:
     """Imaginary error function without the 2/sqrt(pi) prefactor.
 
-    erfi(x) = integral_0^x exp(s^2) ds; odd in x.  |x| <= 20, beyond which
-    the value exceeds double range.
+    erfi(x) = integral_0^x exp(s^2) ds = e^{x^2} F(x), F Dawson's integral;
+    odd in x.  |x| <= 20, beyond which the value exceeds double range.
     """
     x = float(x)
     if abs(x) > ERFI_MAX_ARG:
         raise OverflowRangeError(f"erfi({x}) exceeds double range (|x| <= {ERFI_MAX_ARG})")
     if x == 0.0:
         return 0.0
-    value = _erfi_series_float(abs(x))
-    return value if x > 0 else -value
+    return math.exp(x * x) * float(dawsn(x))
 
 
 def hermite_poly(n: int, x: float) -> float:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptdilate.cli import Scenario, main
+from ptdilate.cli import MAX_GRID_POINTS, Scenario, main
 from ptdilate.dilation import tau_from_metric
+from ptdilate.errors import ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
 from ptdilate.metric import DilationParams, metric
 from ptdilate.model import HamiltonianParams
@@ -67,11 +68,17 @@ class TestScenario:
             ({"tolerances": {"rel_tol": "x"}}, []),
             ({"tolerances": {"abs_tol": math.nan}}, []),
             ({}, ["--grid-step", "nan"]),
+            ({}, ["--grid-step", "1e-12"]),
         ],
     )
     def test_malformed_values_exit_2(self, tmp_path, overrides, flags):
         path = _write_scenario(tmp_path / "s.json", **{"t_end": 1.0, "grid_step": 0.5, **overrides})
         assert main(["simulate", "--scenario", path, "--out", str(tmp_path), *flags]) == 2
+
+    def test_grid_cap_rejected_before_allocation(self):
+        # 4e12 points: validate() must refuse without building the grid
+        with pytest.raises(ValidationError, match=str(MAX_GRID_POINTS)):
+            Scenario(grid_step=1e-12).validate()
 
     def test_unreadable_file_exit_2(self, tmp_path):
         bad = tmp_path / "s.json"
@@ -236,6 +243,11 @@ class TestPaperFigures:
         assert thresholds["approx_d1_min_0_4p5"] == pytest.approx(1474.0, abs=1.0)
         assert thresholds["y0_norm_sq_2p1"] == pytest.approx(4.129, abs=0.005)
         assert thresholds["refined_d1_bound_2p1"] == pytest.approx(4.633, abs=0.005)
+
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.5", "inf", "1e-12"])
+    def test_bad_grid_step_exit_2(self, tmp_path, step):
+        assert main(["paper-figures", "--grid-step", step, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
 
 
 class TestArgparseBehavior:

@@ -86,6 +86,12 @@ class TestMetricState:
         assert ms.lambda_plus * ms.lambda_minus == pytest.approx(prod, rel=1e-10)
         assert ms.delta > 0.0
 
+    @pytest.mark.parametrize("t", [2.0, 5.5])
+    def test_eigenvalues_even_in_t(self, t):
+        # ||y0||^2, ||y1||^2 and |<y0|y1>| are even in t; t = 5.5 has
+        # w t^2 > 12, so both signs run on the extended-precision path
+        assert eigenvalues(P, D_REF, -t) == pytest.approx(eigenvalues(P, D_REF, t), rel=1e-12)
+
     def test_eta_start_eigenvalues_exact(self):
         ms = metric(P, DilationParams(2.0, 9.0), 0.0)
         np.testing.assert_allclose(sorted(np.linalg.eigvalsh(ms.eta)), [2.0, 9.0], rtol=1e-14)

@@ -3,8 +3,10 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptdilate.errors import DomainError, OverflowRangeError, ValidationError
 from ptdilate.model import HamiltonianParams, hamiltonian
@@ -57,10 +59,40 @@ class TestClosedForm:
             x_basis_closed_half(1.0, 6.5)
 
     def test_extended_precision_region_smooth(self):
-        # the double / extended-precision switch at t = 3 must be seamless
+        # no seam at t = 3, where delta once switched to extended precision
         lo = x_basis_closed_half(1.0, 2.9999999)[1]
         hi = x_basis_closed_half(1.0, 3.0000001)[1]
         np.testing.assert_allclose(lo, hi, rtol=1e-5)
+
+    @pytest.mark.parametrize("t", [*np.linspace(-6.0, 6.0, 61), 3.001, 4.5, 5.75, 6.0])
+    def test_gamma_delta_match_mpmath_oracle(self, t):
+        # 50-digit oracle with mpmath's own erfi; E = 0 keeps the prefactor real
+        with mp.workdps(50):
+            tm = mp.mpf(float(t))
+            e = mp.sqrt(mp.pi) / 2 * mp.erfi(tm / mp.sqrt(2))
+            pref = mp.exp(-tm * tm / 4)
+            gamma = complex(pref * -1j * mp.sqrt(2) * e)
+            delta = float(pref * (mp.exp(tm * tm / 2) - mp.sqrt(2) * tm * e))
+        _, x1 = x_basis_closed_half(0.0, float(t))
+        assert abs(x1[0] - gamma) <= 1e-12 * abs(gamma)
+        assert abs(x1[1] - delta) <= 1e-12 * abs(delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(-6.0, 6.0))
+    def test_wronskian_is_one(self, t):
+        x0, x1 = x_basis_closed_half(1.0, t)
+        det = (x0[0] * x1[1] - x0[1] * x1[0]) * cmath.exp(2j * t)
+        assert abs(det - 1.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(-5.9999, 5.9999))
+    def test_both_vectors_solve_ode(self, t):
+        # |x1| grows to ~1400 at t = 6, and the central difference's error
+        # with it, so the residual is measured relative to max(1, |x(t)|)
+        for idx in (0, 1):
+            v = lambda s: x_basis_closed_half(1.0, s)[idx]
+            scale = max(1.0, float(np.linalg.norm(v(t))))
+            assert ode_residual(P_HALF, v, t) / scale < 1e-8
 
 
 class TestWhittakerBasis:
