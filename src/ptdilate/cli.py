@@ -20,7 +20,7 @@ import numpy as np
 
 from .dilation import H4Mode, assemble_dilated
 from .errors import DegenerateDenominatorError, PTDilateError, ValidationError
-from .evolve import EvolutionConfig, _analytic_path, _efficiency, simulate_dilated
+from .evolve import EvolutionConfig, _analytic_path, _efficiency, _eta_norm, simulate_dilated
 from .metric import (
     DilationParams,
     approx_bounds_interval,
@@ -183,11 +183,9 @@ def cmd_spectrum(scn: Scenario, out: Path) -> None:
 
 
 def _write_lambda_csv(path: Path, p, d, grid, basis) -> None:
-    rows = []
-    for t in grid:
-        lam_p, lam_m = eigenvalues(p, d, float(t), basis)
-        rows.append([t, lam_m, lam_p, "1" if lam_m >= 1.0 - 1e-12 else "0"])
-    _write_csv(path, ["t", "lambda_minus", "lambda_plus", "valid"], rows)
+    lam_p, lam_m = eigenvalues(p, d, grid, basis)
+    valid = np.where(lam_m >= 1.0 - 1e-12, "1", "0")
+    _write_csv(path, ["t", "lambda_minus", "lambda_plus", "valid"], zip(grid, lam_m, lam_p, valid))
 
 
 def cmd_metric_scan(scn: Scenario, out: Path) -> None:
@@ -299,13 +297,10 @@ def cmd_efficiency(scn: Scenario, out: Path) -> None:
     basis = solution_basis(p)
     if np.linalg.norm(scn.psi0) == 0.0:
         raise ValidationError("initial_state must be nonzero")
-    psi_at = _analytic_path(basis, scn.psi0, scn.t_start)
-    rows = []
-    for t in scn.grid():
-        psi_t = psi_at(float(t))
-        eta = metric(p, d, float(t), basis).eta
-        eta_norm = float(np.vdot(psi_t, eta @ psi_t).real)
-        rows.append([t, _efficiency(psi_t, eta), eta_norm])
+    grid = scn.grid()
+    psi = _analytic_path(basis, scn.psi0, scn.t_start)(grid)
+    eta = metric(p, d, grid, basis).eta
+    rows = zip(grid, _efficiency(psi, eta), _eta_norm(psi, eta))
     _write_csv(out / "efficiency.csv", ["t", "efficiency", "eta_weighted_norm"], rows)
 
 

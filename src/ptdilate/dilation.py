@@ -89,11 +89,10 @@ def _hermitian_from(a: float, b: float, c: float, d: float) -> np.ndarray:
 def _abcd(entries, S):
     """(a, b, c, d) from the entries (X, Y, Z, W) of tau^2 and its S."""
     X, Y, Z, W = entries
-    d = math.sqrt(max((W + S) / 2.0, 0.0))
-    if d == 0.0:
-        # only happens for tau^2 = 0, where X = Y = Z = 0
-        return 0.0, 0.0, 0.0, 0.0
-    return X / (2.0 * d), Y / (2.0 * d), Z / (2.0 * d), d
+    d = np.sqrt(np.maximum((W + S) / 2.0, 0.0))
+    # d = 0 only for tau^2 = 0, where X = Y = Z = 0 and any divisor will do
+    two_d = 2.0 * d + (d == 0.0)
+    return X / two_d, Y / two_d, Z / two_d, d
 
 
 def _abcd_rates(entries, rates, S):
@@ -116,7 +115,7 @@ def _s_from_entries(entries) -> float:
 
 def _s_from_state(ms: MetricState) -> float:
     # the eigenvalue form is stable when W^2 nearly cancels against X^2+Y^2+Z^2
-    return math.sqrt(max((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0), 0.0))
+    return np.sqrt(np.maximum((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0), 0.0))
 
 
 def tau_entries(X: float, Y: float, Z: float, W: float) -> tuple[float, float, float, float]:
@@ -137,11 +136,13 @@ def tau_dot_entries(
 
 
 def tau_from_metric(ms: MetricState) -> TauDecomp:
-    """Hermitian square root of eta - 1; requires lam_minus >= 1."""
-    if ms.lambda_minus < 1.0 - TAU_VALID_TOL:
-        raise InvalidMetricError(
-            f"lambda_minus = {ms.lambda_minus} < 1 at t = {ms.t}; no Hermitian root"
-        )
+    """Hermitian square root of eta - 1; requires lam_minus >= 1.  For a
+    state over n times, a, b, c, d are arrays and tau has shape (2, 2, n)."""
+    invalid = ms.lambda_minus < 1.0 - TAU_VALID_TOL
+    if invalid.any():
+        k = np.argmax(invalid)
+        lam_m, t = np.ravel(ms.lambda_minus)[k], np.ravel(ms.t)[k]
+        raise InvalidMetricError(f"lambda_minus = {lam_m} < 1 at t = {t}; no Hermitian root")
     abcd = _abcd((ms.X, ms.Y, ms.Z, ms.W), _s_from_state(ms))
     return TauDecomp(*abcd, _hermitian_from(*abcd))
 
@@ -202,11 +203,14 @@ def h4_select(
 
 
 def _blocks(H, tau, tau_dot, h4):
+    H_h = H.conj().T
     tau_h = tau.conj().T
     tau_dot_h = tau_dot.conj().T
-    h2 = -1j * tau_dot_h + H.conj().T @ tau_h - tau_h @ h4
-    h1 = H + 1j * (tau_dot_h @ tau) - H.conj().T @ (tau_h @ tau) + tau_h @ h4 @ tau
-    hh = np.block([[h1, h2], [h2.conj().T, h4]])
+    tau_h_h4 = tau_h @ h4
+    h2 = -1j * tau_dot_h + H_h @ tau_h - tau_h_h4
+    h1 = H + 1j * (tau_dot_h @ tau) - H_h @ (tau_h @ tau) + tau_h_h4 @ tau
+    hh = np.empty((4, 4), dtype=complex)
+    hh[:2, :2], hh[:2, 2:], hh[2:, :2], hh[2:, 2:] = h1, h2, h2.conj().T, h4
     return h1, h2, hh
 
 

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from .dilation import H4Mode, assemble_dilated, tau_from_metric
 from .errors import BreakdownError, IntegrationError, ValidationError
-from .metric import DilationParams, _breakdown_cached, metric
+from .metric import DilationParams, _abs2, _breakdown_cached, metric
 from .model import HamiltonianParams
 from .solutions import SolutionBasis, solution_basis
 
@@ -121,12 +121,13 @@ def propagate_analytic(
     return _analytic_path(basis or solution_basis(p), psi0, t0)(t)
 
 
-def _analytic_path(basis: SolutionBasis, psi0: np.ndarray, t0: float) -> Callable[[float], np.ndarray]:
-    """t -> psi(t), with the combination matching psi0 at t0 solved once."""
+def _analytic_path(basis: SolutionBasis, psi0: np.ndarray, t0: float) -> Callable:
+    """t -> psi(t), shape (2,) or (2, n) for a 1-D array of t, with the
+    combination matching psi0 at t0 solved once."""
     x0_0, x1_0 = basis.x_pair(t0)
     c0, c1 = np.linalg.solve(np.column_stack([x0_0, x1_0]), np.asarray(psi0, dtype=complex))
 
-    def psi(t: float) -> np.ndarray:
+    def psi(t) -> np.ndarray:
         x0_t, x1_t = basis.x_pair(t)
         return c0 * x0_t + c1 * x1_t
 
@@ -146,7 +147,8 @@ def simulate_dilated(
 
     The initial lower component uses the exact tau at span start.  Raises
     BreakdownError (with the computed time attached) if the dilation fails
-    inside the span, in the representation of `basis`.  Diagnostics: norm,
+    inside the span (t0, t1], in the representation of `basis`, and
+    InvalidMetricError if it is invalid at t0.  Diagnostics: norm,
     fidelity of the upper component against the analytic psi(t), validity
     flag, and in `extras`, one entry per sample:
 
@@ -160,8 +162,8 @@ def simulate_dilated(
         raise ValidationError("psi0 must be a nonzero 2-dim complex vector")
     if basis is None:
         basis = solution_basis(p)
-    t_break = _breakdown_cached(p, d, float(span[1]), basis)
-    if t_break is not None and t_break <= float(span[1]):
+    t_break = _breakdown_cached(p, d, float(span[0]), float(span[1]), basis)
+    if t_break is not None:
         raise BreakdownError(
             f"dilation breaks down at t = {t_break:.6f}, inside the span {span}",
             breakdown_time=t_break,
@@ -174,39 +176,33 @@ def simulate_dilated(
 
     traj = integrate_linear(generator, big_psi0, span, cfg)
 
-    n = traj.times.size
-    psi_refs = np.empty((n, 2), dtype=complex)
-    efficiency = np.empty(n)
-    fidelity = np.empty(n)
-    valid = np.empty(n, dtype=bool)
-    lower_consistency = np.empty(n)
-    upper_deviation = np.empty(n)
-    psi_at = _analytic_path(basis, psi0, float(span[0]))
-    for k, t in enumerate(traj.times):
-        psi_ref = psi_at(float(t))
-        upper = traj.states[k, :2]
-        lower = traj.states[k, 2:]
-        ms = metric(p, d, float(t), basis)
-        tau_t = tau_from_metric(ms).tau
-        ref_norm = np.linalg.norm(psi_ref)
-        up_norm = np.linalg.norm(upper)
-        psi_refs[k] = psi_ref
-        efficiency[k] = _efficiency(psi_ref, ms.eta)
-        fidelity[k] = abs(np.vdot(psi_ref, upper)) ** 2 / (ref_norm**2 * up_norm**2)
-        valid[k] = ms.lambda_minus >= 1.0 - 1e-12
-        lower_consistency[k] = np.linalg.norm(lower - tau_t @ upper)
-        upper_deviation[k] = np.linalg.norm(upper - psi_ref) / ref_norm
-    traj.fidelity = fidelity
-    traj.valid = valid
-    traj.extras["psi_ref"] = psi_refs
-    traj.extras["efficiency"] = efficiency
-    traj.extras["lower_consistency"] = lower_consistency
-    traj.extras["upper_deviation"] = upper_deviation
+    psi_ref = _analytic_path(basis, psi0, float(span[0]))(traj.times)
+    upper, lower = traj.states[:, :2].T, traj.states[:, 2:].T
+    ms = metric(p, d, traj.times, basis)
+    tau_t = tau_from_metric(ms).tau
+    ref_norm = np.linalg.norm(psi_ref, axis=0)
+    up_norm = np.linalg.norm(upper, axis=0)
+    traj.fidelity = _abs2((psi_ref.conj() * upper).sum(axis=0)) / (ref_norm**2 * up_norm**2)
+    traj.valid = ms.lambda_minus >= 1.0 - 1e-12
+    traj.extras["psi_ref"] = psi_ref.T
+    traj.extras["efficiency"] = _efficiency(psi_ref, ms.eta)
+    traj.extras["lower_consistency"] = np.linalg.norm(lower - _apply(tau_t, upper), axis=0)
+    traj.extras["upper_deviation"] = np.linalg.norm(upper - psi_ref, axis=0) / ref_norm
     return traj
 
 
-def _efficiency(psi: np.ndarray, eta: np.ndarray) -> float:
-    return float(np.vdot(psi, psi).real) / float(np.vdot(psi, eta @ psi).real)
+def _apply(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v for 2x2 matrices and 2-vectors with an optional trailing time axis."""
+    return (matrix * v[None]).sum(axis=1)
+
+
+def _eta_norm(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """<psi|eta|psi>, with an optional trailing time axis."""
+    return (psi.conj() * _apply(eta, psi)).sum(axis=0).real
+
+
+def _efficiency(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    return _abs2(psi).sum(axis=0) / _eta_norm(psi, eta)
 
 
 def dilation_efficiency(

@@ -8,7 +8,9 @@ lam_minus >= 1; the first crossing below one is the breakdown time.
 
 lam_minus decays like e^{-w t^2} while l grows like e^{+w t^2}, so for
 w t^2 > 12 all scalar reductions run in extended precision (>= 30 digits)
-before rounding back to floats.
+before rounding back to floats.  `metric`, `eigenvalues` and the scans
+take a float or a 1-D array of times; only the extended-precision points
+are evaluated one at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .model import HamiltonianParams, hamiltonian
-from .solutions import SolutionBasis, solution_basis
+from .solutions import SolutionBasis, _on_time_axis, solution_basis
 from .specfun import ASYM_MIN_Z
 
 __all__ = [
@@ -67,7 +69,9 @@ class DilationParams:
 
 @dataclass
 class MetricState:
-    """Metric operator and derived scalars at a single time."""
+    """Metric operator and derived scalars at a time t, or over a 1-D array
+    of n times: then eta and eta_dot have shape (2, 2, n) and every scalar
+    field is an array of length n."""
 
     t: float
     eta: np.ndarray
@@ -88,17 +92,26 @@ def _mp_dps_for(z: float) -> int:
     return max(40, 30 + int(0.5 * z))
 
 
-def _scalars_double(basis, d, t):
-    y0, y1 = basis.y_pair(t)
-    n0 = float(np.vdot(y0, y0).real)
-    n1 = float(np.vdot(y1, y1).real)
-    ip = complex(np.vdot(y0, y1))
+def _abs2(v):
+    return v.real * v.real + v.imag * v.imag
+
+
+def _duals(basis, t):
+    """y0 = sigma_x x1, y1 = sigma_x x0 at a 1-D t, shape (2 vectors, 2, n)."""
+    return np.array(basis.x_pair(t))[::-1, ::-1]
+
+
+def _scalars_double(d, y):
+    """Scalars from stacked dual pairs, in doubles."""
+    gram = (y.conj()[:, None] * y).sum(axis=2)   # [[n0, ip], [ip*, n1]]
+    n0, n1, ip = gram[0, 0].real, gram[1, 1].real, gram[0, 1]
     l = d.d0_sq * n0 + d.d1_sq * n1
-    delta = n0 * n1 - abs(ip) ** 2
+    delta = n0 * n1 - _abs2(ip)
     prod = d.d0_sq * d.d1_sq * delta
-    disc = math.sqrt(max(l * l / 4.0 - prod, 0.0))
-    lam_p = l / 2.0 + disc
-    lam_m = prod / lam_p if lam_p > 0.0 else 0.0
+    half = l / 2.0
+    lam_p = half + np.sqrt(np.maximum(half * half - prod, 0.0))
+    # lam_p = 0 only where l = 0, and there prod = 0 too
+    lam_m = prod / (lam_p + (lam_p == 0.0))
     return n0, n1, l, delta, lam_p, lam_m
 
 
@@ -120,51 +133,60 @@ def _scalars_mp(basis, d, t, z):
     return out
 
 
-def _scalars(p, d, t, basis):
-    if abs(t) > basis.horizon:
-        raise OverflowRangeError(
-            f"t = {t} beyond the numeric horizon {basis.horizon:.3f} of this basis"
-        )
-    z = p.omega * t * t
-    if z > _MP_Z_THRESHOLD:
-        return _scalars_mp(basis, d, t, z)
-    return _scalars_double(basis, d, t)
+def _scalars(p, d, t, basis, y=None):
+    """(n0, n1, l, delta, lam_p, lam_m), each shaped like t; y, if given,
+    is _duals(basis, t) for a 1-D t."""
+    ts, shaped = _on_time_axis(t)
+    t_far = abs(ts).max()
+    if t_far > basis.horizon:
+        t_bad = ts[abs(ts) > basis.horizon][0]
+        raise OverflowRangeError(f"t = {t_bad} beyond the numeric horizon {basis.horizon:.3f} of this basis")
+    if p.omega * t_far * t_far <= _MP_Z_THRESHOLD:
+        return tuple(shaped(v) for v in _scalars_double(d, _duals(basis, ts) if y is None else y))
+    z = p.omega * ts * ts
+    double = z <= _MP_Z_THRESHOLD
+    out = np.empty((6, ts.size))
+    if double.any():
+        out[:, double] = _scalars_double(d, _duals(basis, ts[double]) if y is None else y[..., double])
+    for k in np.flatnonzero(~double):
+        out[:, k] = _scalars_mp(basis, d, float(ts[k]), float(z[k]))
+    return tuple(shaped(out))
 
 
 def metric(
     p: HamiltonianParams,
     d: DilationParams,
-    t: float,
+    t,
     basis: SolutionBasis | None = None,
 ) -> MetricState:
-    """Fully populated metric state at time t.
+    """Fully populated metric state at t, a float or a 1-D array.
 
     eta_dot comes from the analytic derivative y' = -i H^dag y pushed
     through the outer-product sum, not from finite differences.
     """
     if basis is None:
         basis = solution_basis(p)
-    y0, y1 = basis.y_pair(t)
-    eta = d.d0_sq * np.outer(y0, y0.conj()) + d.d1_sq * np.outer(y1, y1.conj())
-    Hd = hamiltonian(p, t).conj().T
-    y0_dot = -1j * (Hd @ y0)
-    y1_dot = -1j * (Hd @ y1)
-    eta_dot = d.d0_sq * (np.outer(y0_dot, y0.conj()) + np.outer(y0, y0_dot.conj())) + d.d1_sq * (
-        np.outer(y1_dot, y1.conj()) + np.outer(y1, y1_dot.conj())
-    )
-    _, _, l, delta, lam_p, lam_m = _scalars(p, d, t, basis)
+    ts, shaped = _on_time_axis(t)
+    y = _duals(basis, ts)
+    w = np.array([d.d0_sq, d.d1_sq])[:, None, None, None]
+    eta = (w * y[:, :, None] * y.conj()[:, None]).sum(axis=0)
+    # eta_dot = m + m^dag, m = sum_k |D_k|^2 |y_k'><y_k| = -i H^dag eta
+    a_bar = p.E - 1j * p.omega * ts   # conjugate of H_00
+    m = -1j * np.array([a_bar * eta[0] + eta[1], eta[0] + a_bar.conj() * eta[1]])
+    eta, eta_dot = shaped(eta), shaped(m + m.conj().swapaxes(0, 1))
+    _, _, l, delta, lam_p, lam_m = (shaped(v) for v in _scalars(p, d, ts, basis, y))
     return MetricState(
-        t=float(t),
+        t=shaped(ts),
         eta=eta,
         eta_dot=eta_dot,
         lambda_plus=lam_p,
         lambda_minus=lam_m,
         l=l,
         delta=delta,
-        X=float(eta[1, 0].real),
-        Y=float(eta[1, 0].imag),
-        Z=float((eta[0, 0].real - eta[1, 1].real) / 2.0),
-        W=float((eta[0, 0].real + eta[1, 1].real) / 2.0 - 1.0),
+        X=eta[1, 0].real,
+        Y=eta[1, 0].imag,
+        Z=(eta[0, 0].real - eta[1, 1].real) / 2.0,
+        W=(eta[0, 0].real + eta[1, 1].real) / 2.0 - 1.0,
         params=p,
         dparams=d,
     )
@@ -173,18 +195,15 @@ def metric(
 def eigenvalues(
     p: HamiltonianParams,
     d: DilationParams,
-    t: float,
+    t,
     basis: SolutionBasis | None = None,
-) -> tuple[float, float]:
-    """(lam_plus, lam_minus) without assembling the full state."""
+) -> tuple:
+    """(lam_plus, lam_minus) at t, a float or a 1-D array, without
+    assembling the full state; each is shaped like t."""
     if basis is None:
         basis = solution_basis(p)
     _, _, _, _, lam_p, lam_m = _scalars(p, d, t, basis)
     return lam_p, lam_m
-
-
-def _lambda_minus(p, d, t, basis):
-    return _scalars(p, d, t, basis)[5]
 
 
 def eta_evolution_residual(
@@ -209,7 +228,7 @@ def eta_evolution_residual(
 
 def validity(d: DilationParams, ms: MetricState) -> bool:
     """True while the smaller metric eigenvalue stays at or above one."""
-    return ms.lambda_minus >= 1.0 - VALIDITY_TOL
+    return bool(ms.lambda_minus >= 1.0 - VALIDITY_TOL)
 
 
 # --- scan helpers ------------------------------------------------------------
@@ -243,15 +262,14 @@ def _refine_max(f, lo: float, hi: float, iters: int = 60) -> float:
     return max(fc, fd, f((a + b) / 2.0))
 
 
-def _grid_max_refined(f, lo: float, hi: float, step: float = SCAN_STEP) -> float:
-    ts = _grid(lo, hi, step)
-    values = [f(t) for t in ts]
+def _grid_max_refined(f, ts: np.ndarray, values: np.ndarray) -> float:
+    """Max of f from values = f(ts), refined between the grid neighbours."""
     k = int(np.argmax(values))
     bracket_lo = ts[max(k - 1, 0)]
     bracket_hi = ts[min(k + 1, len(ts) - 1)]
     if bracket_hi <= bracket_lo:
-        return values[k]
-    return max(values[k], _refine_max(f, bracket_lo, bracket_hi))
+        return float(values[k])
+    return float(max(values[k], _refine_max(f, bracket_lo, bracket_hi)))
 
 
 def equal_d_bound(
@@ -268,12 +286,10 @@ def equal_d_bound(
     def f(t):
         n0, n1, _, delta, _, _ = _scalars(p, unit, t, basis)
         lt = n0 + n1
-        return (lt + math.sqrt(max(lt * lt - 4.0 * delta, 0.0))) / (2.0 * delta)
+        return (lt + np.sqrt(np.maximum(lt * lt - 4.0 * delta, 0.0))) / (2.0 * delta)
 
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi == lo:
-        return f(lo)
-    return _grid_max_refined(f, lo, hi)
+    ts = _grid(float(interval[0]), float(interval[1]))
+    return _grid_max_refined(f, ts, f(ts))
 
 
 def approx_bounds_interval(
@@ -286,21 +302,19 @@ def approx_bounds_interval(
     if basis is None:
         basis = solution_basis(p)
     unit = DilationParams(1.0, 1.0)
-    lo, hi = float(interval[0]), float(interval[1])
 
     def n0_at(t):
         return _scalars(p, unit, t, basis)[0]
 
-    n0_end, n1_end = _scalars(p, unit, hi, basis)[:2]
-    if math.sqrt(n1_end) > 0.1 * math.sqrt(n0_end):
+    ts = _grid(float(interval[0]), float(interval[1]))
+    n0, n1 = _scalars(p, unit, ts, basis)[:2]
+    if math.sqrt(n1[-1]) > 0.1 * math.sqrt(n0[-1]):
         warnings.warn(
             "||y1(t_b)|| is not small against ||y0(t_b)||; the approximate bounds may be loose",
             stacklevel=2,
         )
-    if hi == lo:
-        return 2.0 / n0_at(lo), n0_at(lo)
-    d0_min = _grid_max_refined(lambda t: 2.0 / n0_at(t), lo, hi)
-    d1_min = _grid_max_refined(n0_at, lo, hi)
+    d0_min = _grid_max_refined(lambda t: 2.0 / n0_at(t), ts, 2.0 / n0)
+    d1_min = _grid_max_refined(n0_at, ts, n0)
     return d0_min, d1_min
 
 
@@ -316,26 +330,59 @@ def refined_d1_bound(
         basis = solution_basis(p)
     unit = DilationParams(1.0, 1.0)
 
-    def norms(t):
-        s = _scalars(p, unit, t, basis)
-        return s[0], s[1]
-
-    n1_end = norms(t0)[1]
-    if d0_sq <= n1_end:
-        raise DegenerateDenominatorError(
-            f"need d0_sq > ||y1(t0)||^2 = {n1_end}, got d0_sq = {d0_sq}"
-        )
-
-    def rhs(t):
-        n0, n1 = norms(t)
+    def rhs(n0, n1):
         den = d0_sq - n1
-        if den <= 1e-12:
-            return -math.inf
-        return (d0_sq * n0 - 1.0) / den
+        usable = den > 1e-12
+        return np.where(usable, (d0_sq * n0 - 1.0) / np.where(usable, den, 1.0), -math.inf)
 
-    if t0 == 0.0:
-        return rhs(0.0)
-    return _grid_max_refined(rhs, 0.0, float(t0))
+    ts = _grid(0.0, float(t0))
+    n0, n1 = _scalars(p, unit, ts, basis)[:2]
+    if d0_sq <= n1[-1]:
+        raise DegenerateDenominatorError(
+            f"need d0_sq > ||y1(t0)||^2 = {n1[-1]}, got d0_sq = {d0_sq}"
+        )
+    return _grid_max_refined(lambda t: rhs(*_scalars(p, unit, t, basis)[:2]), ts, rhs(n0, n1))
+
+
+def _first_drop(f: np.ndarray) -> int | None:
+    """Smallest k with f[k-1] >= 0 > f[k]; NaN entries never match."""
+    k = np.flatnonzero((f[:-1] >= 0.0) & (f[1:] < 0.0))
+    return int(k[0]) + 1 if k.size else None
+
+
+def _breakdown_scan(p, d, t_lo: float, t_hi: float, basis) -> float | None:
+    """First t in (t_lo, t_hi] where lam_minus crosses one, or None.  The
+    extended-precision grid points are evaluated in grid order only until a
+    crossing shows up, so none past the breakdown."""
+    if t_hi > basis.horizon:
+        raise OverflowRangeError(
+            f"t_max = {t_hi} beyond the numeric horizon {basis.horizon:.3f} of this basis"
+        )
+    ts = _grid(t_lo, t_hi)
+    z = p.omega * ts * ts
+    extended = z > _MP_Z_THRESHOLD
+    f = np.full(ts.size, math.nan)   # lam_minus - 1 on the grid
+    if not extended.all():
+        f[~extended] = _scalars_double(d, _duals(basis, ts[~extended]))[5] - 1.0
+    for k in np.flatnonzero(extended):
+        if _first_drop(f[:k]) is not None:
+            break
+        f[k] = _scalars_mp(basis, d, float(ts[k]), float(z[k]))[5] - 1.0
+    if f[0] < -VALIDITY_TOL:
+        raise InvalidMetricError(
+            f"dilation invalid already at t = {t_lo:g} (lambda_minus = {1.0 + f[0]})"
+        )
+    k = _first_drop(f)
+    if k is None:
+        return None
+    lo, hi = float(ts[k - 1]), float(ts[k])
+    while hi - lo > BISECT_XTOL:
+        mid = (lo + hi) / 2.0
+        if _scalars(p, d, mid, basis)[5] >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def breakdown_time(
@@ -348,43 +395,15 @@ def breakdown_time(
 
     Scans with step 1e-3 and bisects the first sign change down to 1e-9.
     """
-    if basis is None:
-        basis = solution_basis(p)
-    if t_max > basis.horizon:
-        raise OverflowRangeError(
-            f"t_max = {t_max} beyond the numeric horizon {basis.horizon:.3f} of this basis"
-        )
-
-    def f(t):
-        return _lambda_minus(p, d, t, basis) - 1.0
-
-    f_prev = f(0.0)
-    if f_prev < -VALIDITY_TOL:
-        raise InvalidMetricError(
-            f"dilation invalid already at t = 0 (lambda_minus = {1.0 + f_prev})"
-        )
-    ts = _grid(0.0, float(t_max))
-    t_prev = ts[0]
-    for t in ts[1:]:
-        f_cur = f(float(t))
-        if f_prev >= 0.0 > f_cur:
-            lo, hi = t_prev, float(t)
-            while hi - lo > BISECT_XTOL:
-                mid = (lo + hi) / 2.0
-                if f(mid) >= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return (lo + hi) / 2.0
-        t_prev, f_prev = float(t), f_cur
-    return None
+    return _breakdown_scan(p, d, 0.0, float(t_max), basis or solution_basis(p))
 
 
 @lru_cache(maxsize=256)
 def _breakdown_cached(
-    p: HamiltonianParams, d: DilationParams, t_max: float, basis: SolutionBasis
+    p: HamiltonianParams, d: DilationParams, t_start: float, t_end: float, basis: SolutionBasis
 ) -> float | None:
-    return breakdown_time(p, d, t_max, basis)
+    """Breakdown time inside the span (t_start, t_end], memoized."""
+    return _breakdown_scan(p, d, t_start, t_end, basis)
 
 
 def metric_asymptotics(

@@ -82,20 +82,38 @@ def _closed_scalars_mp(t):
     return -1j * mp.sqrt(2) * e, mp.exp(tm * tm / 2) - mp.sqrt(2) * tm * e
 
 
-def x_basis_closed_half(E: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form basis pair at omega = 1/2; exact at t = 0."""
-    if abs(t) > CLOSED_FORM_T_MAX:
+def _on_time_axis(t):
+    """(t as a 1-D float array, a function that shapes values computed on
+    that axis like t).
+
+    Scalar t runs as a one-point array, so that scalar and array calls do
+    their complex arithmetic in the same numpy loops; numpy's complex
+    scalar arithmetic rounds differently.
+    """
+    ts = np.asarray(t, dtype=float)
+    if ts.size == 0:
+        raise ValidationError("need at least one time")
+    if ts.ndim == 0:
+        return ts.reshape(1), lambda v: v[..., 0]
+    return ts, lambda v: v
+
+
+def x_basis_closed_half(E: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form basis pair at omega = 1/2, shaped like `x_pair`'s;
+    exact at t = 0."""
+    ts, shaped = _on_time_axis(t)
+    if abs(ts).max() > CLOSED_FORM_T_MAX:
         raise OverflowRangeError(
             f"closed-form basis is limited to |t| <= {CLOSED_FORM_T_MAX} without rescaling"
         )
-    x = float(t) / math.sqrt(2.0)
-    f = float(dawsn(x))  # Dawson's integral F(x)
-    growth = math.exp(x * x)
+    x = ts / math.sqrt(2.0)
+    f = dawsn(x)  # Dawson's integral F(x)
+    growth = np.exp(x * x)
     gamma, delta = -1j * math.sqrt(2.0) * growth * f, growth * (1.0 - 2.0 * x * f)
-    pref = cmath.exp(-1j * E * t - t * t / 4.0)
-    x0 = np.array([pref, -1j * t * pref], dtype=complex)
-    x1 = np.array([pref * gamma, pref * delta], dtype=complex)
-    return x0, x1
+    pref = np.exp(-1j * E * ts - ts * ts / 4.0)
+    x0 = np.array([pref, -1j * ts * pref])
+    x1 = np.array([pref * gamma, pref * delta])
+    return shaped(x0), shaped(x1)
 
 
 # --- Whittaker representation ----------------------------------------------
@@ -120,19 +138,19 @@ def _whittaker_pair_raw(omega: float, t: float) -> tuple[complex, complex, compl
     return x0_up, x0_dn, x1_up, x1_dn
 
 
-def x_basis_whittaker(p: HamiltonianParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whittaker basis pair; for t <= 1e-3 the sqrt(t) limit freezes the
-    amplitude at t = 1e-3 and only the phase keeps moving."""
-    if t < 0.0:
+def x_basis_whittaker(p: HamiltonianParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Whittaker basis pair, shaped like the closed form's; one cached
+    mpmath evaluation per time point.  For t <= 1e-3 the sqrt(t) limit
+    freezes the amplitude at t = 1e-3 and only the phase keeps moving."""
+    ts, shaped = _on_time_axis(t)
+    if ts.min() < 0.0:
         raise DomainError("Whittaker basis supports t >= 0 only")
-    ts = max(float(t), T_SMALL)
-    x0_up, x0_dn, x1_up, x1_dn = _whittaker_pair_raw(p.omega, ts)
-    phase = cmath.exp(-1j * p.E * t)
-    x0 = np.array([phase * x0_up, phase * x0_dn], dtype=complex)
-    x1 = np.array([phase * x1_up, phase * x1_dn], dtype=complex)
-    if not np.isfinite(x0).all() or not np.isfinite(x1).all():
-        raise OverflowRangeError(f"Whittaker basis exceeds double range at t = {t}")
-    return x0, x1
+    raw = np.array([_whittaker_pair_raw(p.omega, max(float(s), T_SMALL)) for s in ts]).T
+    x = np.exp(-1j * p.E * ts) * raw   # rows: x0 up, x0 down, x1 up, x1 down
+    bad = ~np.isfinite(x).all(axis=0)
+    if bad.any():
+        raise OverflowRangeError(f"Whittaker basis exceeds double range at t = {ts[bad][0]}")
+    return shaped(x[:2]), shaped(x[2:])
 
 
 def _whittaker_pair_mp(omega, t):
@@ -176,13 +194,14 @@ class SolutionBasis:
             return CLOSED_FORM_T_MAX
         return math.sqrt(700.0 / self.params.omega)
 
-    def x_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def x_pair(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(x0, x1) at t, a float or 1-D array of n times: shape (2,) or (2, n)."""
         if self.representation is Representation.CLOSED_FORM_HALF:
             return x_basis_closed_half(self.params.E, t)
         return x_basis_whittaker(self.params, t)
 
-    def y_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Dual pair y0 = sigma_x x1, y1 = sigma_x x0 (component swap)."""
+    def y_pair(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Dual pair y0 = sigma_x x1, y1 = sigma_x x0, shaped like x_pair."""
         x0, x1 = self.x_pair(t)
         return x1[::-1].copy(), x0[::-1].copy()
 

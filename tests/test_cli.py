@@ -207,6 +207,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "4.000" in err
 
+    def test_guard_scans_only_the_span(self, tmp_path):
+        # lambda_minus(0) = 0.9 < 1, but lambda_minus >= 1.31 on [2, 3.5]
+        scn = _write_scenario(tmp_path / "s.json", d0_sq=0.9, t_start=2.0, t_end=3.5)
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert summary["max_norm_drift"] <= 1e-8
+        assert summary["max_upper_deviation"] <= 1e-6
+
     def test_zero_state_rejected(self, tmp_path):
         scn = _write_scenario(tmp_path / "s.json", t_end=3.9, grid_step=0.05, initial_state=[0, 0, 0, 0])
         assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 2

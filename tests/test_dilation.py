@@ -212,3 +212,11 @@ class TestHermiticityDefect:
         a = hermiticity_defect(P, D_REF, 2.5, H4Mode.HERMITIAN_PART)
         b = hermiticity_defect(P, D_REF, 2.5, H4Mode.MIRROR)
         assert a < 1e-9 and b < 1e-9
+
+
+@pytest.mark.parametrize("mode", [H4Mode.HERMITIAN_PART, H4Mode.MIRROR])
+def test_generator_fill_equals_np_block(mode):
+    for t in (0.0, 1.3, 2.0, 3.9):
+        dh = assemble_dilated(P, D_REF, t, mode)
+        expected = np.block([[dh.h1, dh.h2], [dh.h2.conj().T, dh.h4]])
+        assert np.array_equal(dh.hh, expected)

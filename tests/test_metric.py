@@ -1,16 +1,19 @@
 """Metric operator, validity window, parameter bounds, breakdown search."""
 
+import importlib
 import math
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptdilate.errors import (
     DegenerateDenominatorError,
     InvalidMetricError,
     OverflowRangeError,
+    ValidationError,
 )
 from ptdilate.metric import (
     DilationParams,
@@ -27,6 +30,9 @@ from ptdilate.metric import (
 )
 from ptdilate.model import HamiltonianParams, hamiltonian
 from ptdilate.solutions import Representation, solution_basis
+
+# the package re-exports the function `metric`, which shadows the module name
+metric_module = importlib.import_module("ptdilate.metric")
 
 P = HamiltonianParams(E=1.0, omega=0.5)
 D_REF = DilationParams(3.5, 238.0)
@@ -215,6 +221,86 @@ class TestBreakdown:
     def test_horizon_guard(self):
         with pytest.raises(OverflowRangeError):
             breakdown_time(P, D_REF, 7.0)
+
+    # 10000 crosses at 4.954, past w t^2 = 12 (t = 4.899), where lam_minus
+    # needs the extended-precision path
+    @pytest.mark.parametrize("d1_sq, t_max", [(238.0, 5.0), (1474.0, 5.0), (10000.0, 5.5)])
+    def test_no_extra_extended_precision_calls(self, monkeypatch, d1_sq, t_max):
+        calls = []
+        scalars_mp = metric_module._scalars_mp
+
+        def counted(*args):
+            calls.append(args[2])
+            return scalars_mp(*args)
+
+        monkeypatch.setattr(metric_module, "_scalars_mp", counted)
+        d = DilationParams(3.5, d1_sq)
+        t_break = breakdown_time(P, d, t_max)
+        scan_calls, calls[:] = list(calls), []
+        assert t_break == pytest.approx(_per_point_breakdown(d, t_max), abs=1e-12)
+        assert len(scan_calls) <= len(calls)
+        assert all(t <= t_break + 1e-3 for t in scan_calls)
+
+
+def _per_point_breakdown(d, t_max):
+    """breakdown_time written as a per-point scan: one eigenvalues call per
+    1e-3 grid point up to the first drop below one, then bisection."""
+    ts = np.linspace(0.0, t_max, int(round(t_max / 1e-3)) + 1)
+    prev = eigenvalues(P, d, 0.0)[1] - 1.0
+    for lo, hi in zip(ts[:-1], ts[1:]):
+        cur = eigenvalues(P, d, float(hi))[1] - 1.0
+        if prev >= 0.0 > cur:
+            lo, hi = float(lo), float(hi)
+            while hi - lo > 1e-9:
+                mid = (lo + hi) / 2.0
+                if eigenvalues(P, d, mid)[1] >= 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2.0
+        prev = cur
+    return None
+
+
+# sorted grids in [0, 6) that straddle w t^2 = 12 at w = 1/2 (t = 4.899)
+_GRIDS = st.tuples(
+    st.lists(st.floats(0.0, 4.85), min_size=1, max_size=20),
+    st.lists(st.floats(4.95, 5.999), min_size=1, max_size=20),
+).map(lambda parts: sorted(parts[0] + parts[1]))
+
+
+class TestArrayAgreement:
+    @settings(max_examples=25, deadline=None)
+    @given(ts=_GRIDS, d1_sq=st.floats(1.0, 2000.0))
+    def test_closed_form_array_equals_scalar_calls(self, ts, d1_sq):
+        d = DilationParams(3.5, d1_sq)
+        grid = np.array(ts)
+        lam_p, lam_m = eigenvalues(P, d, grid)
+        eta = metric(P, d, grid).eta
+        for k, t in enumerate(ts):
+            assert (lam_p[k], lam_m[k]) == eigenvalues(P, d, t)
+            assert np.array_equal(eta[..., k], metric(P, d, t).eta)
+
+    def test_whittaker_array_matches_scalar_calls(self):
+        p = HamiltonianParams(E=1.0, omega=0.37)
+        ts = np.array([0.4, 2.5, 5.6, 5.8, 7.0])   # w t^2 = 12 at t = 5.695
+        lam_p, lam_m = eigenvalues(p, D_REF, ts)
+        eta = metric(p, D_REF, ts).eta
+        for k, t in enumerate(ts):
+            sp, sm = eigenvalues(p, D_REF, float(t))
+            assert lam_p[k] == pytest.approx(sp, rel=1e-14)
+            assert lam_m[k] == pytest.approx(sm, rel=1e-14)
+            ref = metric(p, D_REF, float(t)).eta
+            np.testing.assert_allclose(eta[..., k], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+    def test_shapes(self):
+        ms = metric(P, D_REF, np.linspace(0.0, 3.0, 7))
+        assert ms.eta.shape == ms.eta_dot.shape == (2, 2, 7)
+        assert ms.lambda_minus.shape == ms.X.shape == ms.t.shape == (7,)
+        scalar = metric(P, D_REF, 1.5)
+        assert scalar.eta.shape == (2, 2) and np.ndim(scalar.lambda_minus) == 0
+        with pytest.raises(ValidationError):
+            eigenvalues(P, D_REF, np.array([]))
 
 
 class TestMonotoneParameterEffect:
