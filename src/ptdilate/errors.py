@@ -18,7 +18,8 @@ class PoleError(DomainError):
 
 
 class ConvergenceError(PTDilateError, RuntimeError):
-    """A series or iteration hit its hard cap without converging."""
+    """A series or iteration hit its hard cap without converging.  Nothing in
+    the package raises it any more; it stays exported for callers that catch it."""
 
 
 class OverflowRangeError(PTDilateError, OverflowError):

@@ -37,9 +37,7 @@ from .specfun import (
     RayArgument,
     WhittakerIndex,
     _erfi_series_mp,
-    _whittaker_asym_mp,
-    _whittaker_series_mp,
-    ASYM_CROSSOVER,
+    _whittaker_mp,
 )
 
 __all__ = [
@@ -127,9 +125,7 @@ def _whittaker_pair_raw(omega: float, t: float) -> tuple[complex, complex, compl
     sw = math.sqrt(omega)
 
     def _w(kappa, ray):
-        if mag > ASYM_CROSSOVER:
-            return complex(_whittaker_asym_mp(kappa, MU, mag, ray))
-        return complex(_whittaker_series_mp(kappa, MU, mag, ray))
+        return complex(_whittaker_mp(kappa, MU, mag, ray))
 
     x0_up = _w(kap, Ray.POSITIVE) / rt
     x0_dn = -2j * sw * _w(kap_p, Ray.POSITIVE) / rt
@@ -162,9 +158,7 @@ def _whittaker_pair_mp(omega, t):
     sw = mp.sqrt(omega)
 
     def _w(kappa, ray):
-        if mag > ASYM_CROSSOVER:
-            return _whittaker_asym_mp(kappa, MU, mag, ray)
-        return _whittaker_series_mp(kappa, MU, mag, ray)
+        return _whittaker_mp(kappa, MU, mag, ray)
 
     x0 = (_w(kap, Ray.POSITIVE) / rt, -2j * sw * _w(kap_p, Ray.POSITIVE) / rt)
     x1 = (_w(-kap, Ray.ROTATED) / rt, _w(-kap_p, Ray.ROTATED) / (2 * sw) / rt)

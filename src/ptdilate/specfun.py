@@ -5,12 +5,15 @@ prefactor-free imaginary error function e^{x^2} F(x) through Dawson's
 integral F (DLMF 7.2.5), physicists' Hermite polynomials and the
 principal-branch log-Gamma.
 
-Everything here is a pure function of its arguments.  Whittaker values are
-computed in mpmath working precision sized to the argument, because the
-connection formula cancels like e^z on the positive ray, then rounded to a
-Python complex on return.  The rotated ray (argument e^{i pi} * z) is kept
-symbolic through the `Ray` enum so that fractional powers never see a
-floating-point branch ambiguity.
+Everything here is a pure function of its arguments.  Kummer's M comes
+from mpmath's compiled hypergeometric series kernel (`mp.hyp1f1`), which
+raises its own precision until the sum is accurate or, for a terminating
+series, exactly zero.  Whittaker values are computed in mpmath working
+precision sized to the argument, because the connection formula cancels
+like e^z on the positive ray, then rounded to a Python complex on return;
+past magnitude 50 the large-argument expansion takes over.  The rotated ray
+(argument e^{i pi} * z) is kept symbolic through the `Ray` enum so that
+fractional powers never see a floating-point branch ambiguity.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import mpmath as mp
 from scipy.special import dawsn
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     OverflowRangeError,
     PoleError,
@@ -42,10 +44,14 @@ __all__ = [
     "hermite_poly",
 ]
 
-SERIES_CUTOFF = 1e-17       # relative term cutoff of the public Kummer series
-SERIES_CAP = 10_000         # hard term cap before declaring non-convergence
 SERIES_MAX_ABS_Z = 50.0     # series regime boundary for the public kummer_m
-ASYM_CROSSOVER = 30.0       # |z| above which whittaker_w goes asymptotic
+# Magnitude above which whittaker_w goes asymptotic.  The optimally
+# truncated expansion is off by ~e^{-|z|} |z|^{-2 kappa} relative on either
+# ray: at 30, 1.8e-10 on the rotated and 1.5e-11 on the positive ray for
+# kappa = -0.926; at 48, at most 1.3e-16 for every kappa >= -1.25
+# (tools/whittaker_crossover.py).
+ASYM_CROSSOVER = 50.0
+ZERO_PREC_FACTOR = 8        # hyp1f1 sums cancelling past 8x the working bits are zero
 ASYM_MIN_Z = 10.0           # validity floor of the leading-order form
 ERFI_MAX_ARG = 20.0         # erfi exceeds double range beyond this
 HERMITE_MAX_DEGREE = 50
@@ -114,42 +120,37 @@ def ln_gamma(z: complex) -> complex:
         return complex(mp.loggamma(z))
 
 
-def _kummer_series(a, b, z, cutoff):
-    """Sum M(a, b, z) by the term recurrence at the current precision.
+def _hyp1f1(a, b, z):
+    """M(a, b, z) at the current mpmath precision.
 
-    Terms are compared against the running partial sum only once n exceeds
-    |z|, so an early near-zero partial sum cannot stop the loop.
+    A terminating series can sum to exactly zero (M(-1, 1/2, 1/2), the
+    Hermite cases), where the kernel would raise instead of returning.
+    `zeroprec` lets it return 0 once the sum cancels by more than
+    ZERO_PREC_FACTOR times the working bits; a threshold of one working
+    precision zeroes values that genuinely cancel that far.
     """
-    total = mp.mpc(1)
-    term = mp.mpc(1)
-    abs_z = abs(z)
-    for n in range(SERIES_CAP):
-        term = term * (a + n) / (b + n) * z / (n + 1)
-        total += term
-        if term == 0 or (n + 1 > abs_z and abs(term) < cutoff * abs(total)):
-            return total
-    raise ConvergenceError(
-        f"Kummer series failed to converge within {SERIES_CAP} terms (a={a}, b={b}, z={z})"
-    )
+    return mp.hyp1f1(a, b, z, zeroprec=ZERO_PREC_FACTOR * mp.mp.prec)
 
 
 def _series_dps(abs_z: float) -> int:
-    # alternating series and the W connection formula both cancel like e^|z|
+    # hyp1f1 makes up the e^|z| cancellation of an alternating series itself;
+    # this sizing, kept from the hand-summed series, is a margin on top
     return max(25, 18 + int(0.6 * abs_z))
 
 
 def kummer_m(a: complex, b: complex, z: complex) -> complex:
-    """Confluent hypergeometric M(a, b, z) by direct series summation.
+    """Confluent hypergeometric M(a, b, z) = 1F1(a; b; z) (DLMF 13.2.2).
 
-    Summed until a term falls below 1e-17 of the partial sum, with a hard
-    cap of 10 000 terms.  Only the series regime |z| <= 50 is supported.
+    Summed by mpmath's hypergeometric series kernel in a working precision
+    sized to |z|, then rounded to a Python complex.  Only the series regime
+    |z| <= 50 is supported.
     """
     if _is_nonpositive_integer(b):
         raise PoleError(f"M(a, b, z) has poles at nonpositive integer b; got b = {b}")
     if abs(z) > SERIES_MAX_ABS_Z:
         raise DomainError(f"|z| = {abs(z)} outside the series regime |z| <= {SERIES_MAX_ABS_Z}")
     with mp.workdps(_series_dps(abs(z))):
-        value = _kummer_series(mp.mpmathify(a), mp.mpmathify(b), mp.mpmathify(z), mp.mpf(SERIES_CUTOFF))
+        value = _hyp1f1(mp.mpmathify(a), mp.mpmathify(b), mp.mpmathify(z))
     return complex(value)
 
 
@@ -161,13 +162,11 @@ def _whittaker_series_mp(kappa, mu, magnitude, ray):
     with M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu} M(1/2+mu-kappa, 1+2mu, z),
     valid because 2 mu is non-integral.  On the rotated ray the power
     z^{1/2+mu} carries the phase e^{i pi (1/2+mu)} and the series argument
-    is -magnitude.  The internal series cutoff tracks working precision:
-    the two branches cancel like e^z, so a fixed 1e-17 cutoff would leak
-    into the result.
+    is -magnitude.  The working precision grows with the magnitude because
+    the two branches cancel like e^z.
     """
     dps = max(30, 20 + int(0.6 * magnitude))
     with mp.workdps(dps):
-        cutoff = mp.mpf(10) ** (-(dps - 3))
         kap = mp.mpf(kappa)
         muu = mp.mpf(mu)
         mag = mp.mpf(magnitude)
@@ -182,7 +181,7 @@ def _whittaker_series_mp(kappa, mu, magnitude, ray):
             power = mag ** (half + ms)
             if ray is Ray.ROTATED:
                 power *= mp.exp(1j * mp.pi * (half + ms))
-            series = _kummer_series(half + ms - kap, 1 + 2 * ms, z, cutoff)
+            series = _hyp1f1(half + ms - kap, 1 + 2 * ms, z)
             out += coef * mp.exp(-z / 2) * power * series
         return out
 
@@ -222,20 +221,24 @@ def _as_finite_complex(value) -> complex:
     return out
 
 
+def _whittaker_mp(kappa, mu, magnitude, ray):
+    """W_{kappa,mu} as an mpc: connection formula up to magnitude 50,
+    asymptotic expansion beyond."""
+    if magnitude > ASYM_CROSSOVER:
+        return _whittaker_asym_mp(kappa, mu, magnitude, ray)
+    return _whittaker_series_mp(kappa, mu, magnitude, ray)
+
+
 def whittaker_w(idx: WhittakerIndex, z: RayArgument) -> complex:
     """Whittaker W_{kappa,mu} at magnitude * e^{0 or i pi}.
 
-    Uses the M-series connection formula up to magnitude 30 and the
+    Uses the M-series connection formula up to magnitude 50 and the
     corrected asymptotic expansion beyond.  magnitude = 0 is rejected;
     callers handle the small-argument limit themselves.
     """
     if z.magnitude <= 0.0:
         raise DomainError("whittaker_w needs magnitude > 0 (use the small-t limit path)")
-    if z.magnitude > ASYM_CROSSOVER:
-        value = _whittaker_asym_mp(idx.kappa, idx.mu, z.magnitude, z.ray)
-    else:
-        value = _whittaker_series_mp(idx.kappa, idx.mu, z.magnitude, z.ray)
-    return _as_finite_complex(value)
+    return _as_finite_complex(_whittaker_mp(idx.kappa, idx.mu, z.magnitude, z.ray))
 
 
 def whittaker_asymptotic(idx: WhittakerIndex, z: RayArgument) -> complex:
@@ -254,19 +257,8 @@ def whittaker_asymptotic(idx: WhittakerIndex, z: RayArgument) -> complex:
 
 
 def _erfi_series_mp(x):
-    """erfi by its series sum_n x^(2n+1) / (n! (2n+1)) at the caller's mpmath precision."""
-    xx = x * x
-    power = x
-    total = x
-    eps = mp.mpf(10) ** (-(mp.mp.dps + 2))
-    n = 1
-    while True:
-        power *= xx / n
-        term = power / (2 * n + 1)
-        total += term
-        if abs(term) <= eps * abs(total):
-            return total
-        n += 1
+    """Prefactor-free erfi, integral_0^x exp(s^2) ds, at the caller's mpmath precision."""
+    return mp.sqrt(mp.pi) / 2 * mp.erfi(x)
 
 
 def erfi(x: float) -> float:

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,6 +19,7 @@ from ptdilate.specfun import (
     Ray,
     RayArgument,
     WhittakerIndex,
+    _erfi_series_mp,
     _whittaker_asym_mp,
     _whittaker_series_mp,
     erfi,
@@ -82,6 +84,30 @@ class TestKummerM:
     def test_series_regime_guard(self):
         with pytest.raises(DomainError):
             kummer_m(1.0, 2.0, 60.0)
+
+    def test_terminating_series_exact_zero(self):
+        # M(-1, 1/2, z) = 1 - 2z; a zero must come back as 0, not as an error
+        assert kummer_m(-1.0, 0.5, 0.5) == 0.0
+
+
+def _whitw_oracle(kappa, mag, ray):
+    """W_{kappa,1/4} at mag * e^{0 or i pi} in 50-digit mpmath.
+
+    mpmath's whitw first tries its large-argument 2F0 series, which raises
+    ValueError (not NoConvergence, so there is no fallback) at magnitude 1/2
+    for |kappa| = 5/4, where one connection-formula branch is a terminating
+    series summing to zero.  There the oracle is DLMF 13.14.33 over whitm.
+    """
+    with mp.workdps(50):
+        k, m = mp.mpf(kappa), mp.mpf(0.25)
+        z = mp.mpc(-mag, 0) if ray is Ray.ROTATED else mp.mpf(mag)
+        try:
+            return complex(mp.whitw(k, m, z))
+        except ValueError:
+            return complex(
+                mp.gamma(-2 * m) * mp.rgamma(0.5 - m - k) * mp.whitm(k, m, z, zeroprec=1000)
+                + mp.gamma(2 * m) * mp.rgamma(0.5 + m - k) * mp.whitm(k, -m, z, zeroprec=1000)
+            )
 
 
 class TestWhittakerW:
@@ -152,6 +178,25 @@ class TestWhittakerW:
             asym = complex(_whittaker_asym_mp(kappa, 0.25, 30.0, ray))
             assert abs(series - asym) <= 1e-6 * abs(asym)
 
+    @pytest.mark.parametrize("omega", [0.25, 0.37, 1.0, 1.3])
+    @pytest.mark.parametrize("which", ["kappa", "kappa_prime"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("ray", [Ray.POSITIVE, Ray.ROTATED])
+    def test_against_mpmath_whitw(self, omega, which, sign, ray):
+        # magnitudes straddle 30, where the asymptotic form is up to 1e-10
+        # off, and the crossover at 50; an exact zero must stay exact
+        kappa = sign * (1.0 / (4.0 * omega) + (-0.25 if which == "kappa" else 0.25))
+        for mag in (0.5, 5.0, 12.0, 29.9, 30.01, 30.5, 33.0, 37.0, 45.0, 49.9, 50.01, 55.0):
+            value = whittaker_w(WhittakerIndex(kappa), RayArgument(mag, ray))
+            ref = _whitw_oracle(kappa, mag, ray)
+            assert abs(value - ref) <= 1e-13 * abs(ref), (mag, value, ref)
+
+    def test_hermite_exact_zero(self):
+        # W_{5/4,1/4}(1/2) is e^{-z/2} z^{1/4} H_2(sqrt z) / 4 with H_2(sqrt(1/2)) = 0
+        value = whittaker_w(WhittakerIndex(1.25), RayArgument.positive(0.5))
+        assert cmath.isfinite(value)
+        assert abs(value) <= 1e-15
+
 
 class TestWhittakerAsymptotic:
     def test_positive_ray_value(self):
@@ -199,6 +244,16 @@ class TestErfi:
         h = 1e-6
         deriv = (erfi(x + h) - erfi(x - h)) / (2.0 * h)
         assert deriv == pytest.approx(math.exp(x * x), rel=1e-6)
+
+
+class TestErfiSeriesMp:
+    @pytest.mark.parametrize("x", ["-4.5", "-0.3", "0.3", "2.0", "6.5"])
+    def test_against_quadrature(self, x):
+        # integral_0^x exp(s^2) ds at 40 digits; odd, so negative x included
+        with mp.workdps(40):
+            xm = mp.mpf(x)
+            ref = mp.quad(lambda s: mp.exp(s * s), [0, xm])
+            assert abs(_erfi_series_mp(xm) - ref) <= mp.mpf("1e-35") * abs(ref)
 
 
 class TestHermite:

@@ -45,6 +45,8 @@ INVOCATIONS = [
     ("efficiency", ["efficiency"], {"t_end": 3.9, "initial_state": _seeded_state(2)}),
     ("bounds", ["bounds"], None),
     ("breakdown", ["breakdown", "--tmax", "5.0"], None),
+    # general omega: the Whittaker basis, with a crossing at t = 1.3966 for the bisection
+    ("breakdown_general", ["breakdown", "--tmax", "1.5"], {"omega": 1.3, "d1_sq": 2.0}),
     ("dilate_hermitian_part", ["dilate"], {"t_end": 3.9, "grid_step": 0.01}),
     ("dilate_mirror", ["dilate", "--h4-mode", "mirror"], {"t_end": 3.9, "grid_step": 0.01}),
 ]
