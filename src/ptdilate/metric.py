@@ -3,14 +3,17 @@
 eta = |D0|^2 |y0><y0| + |D1|^2 |y1><y1| built on the dual basis.  Its
 eigenvalues are lam_pm = l/2 +- sqrt(l^2/4 - |D0 D1|^2 Delta) with
 l = |D0|^2 ||y0||^2 + |D1|^2 ||y1||^2 and the Gram quantity
-Delta = ||y0||^2 ||y1||^2 - |<y0|y1>|^2.  A Hermitian dilation exists while
-lam_minus >= 1; the first crossing below one is the breakdown time.
+Delta = ||y0||^2 ||y1||^2 - |<y0|y1>|^2 = |det[y0, y1]|^2.  A Hermitian
+dilation exists while lam_minus >= 1; the first crossing below one is the
+breakdown time.
 
-lam_minus decays like e^{-w t^2} while l grows like e^{+w t^2}, so for
-w t^2 > 12 all scalar reductions run in extended precision (>= 30 digits)
-before rounding back to floats.  `metric`, `eigenvalues` and the scans
-take a float or a 1-D array of times; only the extended-precision points
-are evaluated one at a time.
+lam_minus decays like e^{-w t^2} while l grows like e^{+w t^2}.  By
+Liouville's formula Delta is constant in time, `SolutionBasis.gram_det`, so
+lam_plus is a sum of positive terms and lam_minus = |D0 D1|^2 Delta /
+lam_plus needs no subtraction: every time point is reduced in doubles
+through one formula.  `metric`, `eigenvalues` and the scans take a float or
+a 1-D array of times.  `_scalars_mp` is the extended-precision reference
+for that formula.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ __all__ = [
 VALIDITY_TOL = 1e-12        # lam_minus >= 1 - this counts as valid
 SCAN_STEP = 1e-3            # grid step of every scan
 BISECT_XTOL = 1e-9          # breakdown-time bisection width
-_MP_Z_THRESHOLD = 12.0      # w t^2 beyond which doubles lose the small eigenvalue
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,8 @@ class DilationParams:
 class MetricState:
     """Metric operator and derived scalars at a time t, or over a 1-D array
     of n times: then eta and eta_dot have shape (2, 2, n) and every scalar
-    field is an array of length n."""
+    field but delta, the basis's constant Gram determinant, is an array of
+    length n."""
 
     t: float
     eta: np.ndarray
@@ -88,10 +91,6 @@ class MetricState:
     dparams: DilationParams
 
 
-def _mp_dps_for(z: float) -> int:
-    return max(40, 30 + int(0.5 * z))
-
-
 def _abs2(v):
     return v.real * v.real + v.imag * v.imag
 
@@ -101,22 +100,25 @@ def _duals(basis, t):
     return np.array(basis.x_pair(t))[::-1, ::-1]
 
 
-def _scalars_double(d, y):
-    """Scalars from stacked dual pairs, in doubles."""
-    gram = (y.conj()[:, None] * y).sum(axis=2)   # [[n0, ip], [ip*, n1]]
-    n0, n1, ip = gram[0, 0].real, gram[1, 1].real, gram[0, 1]
-    l = d.d0_sq * n0 + d.d1_sq * n1
-    delta = n0 * n1 - _abs2(ip)
+def _scalars_double(d, y, delta):
+    """Scalars from stacked dual pairs and the constant Gram determinant,
+    in doubles.  An infinite l gives lam_p = inf and lam_m = 0."""
+    with np.errstate(over="ignore"):   # callers decide what an infinite l means
+        n0, n1 = _abs2(y).sum(axis=1)
+        l = d.d0_sq * n0 + d.d1_sq * n1
     prod = d.d0_sq * d.d1_sq * delta
-    half = l / 2.0
-    lam_p = half + np.sqrt(np.maximum(half * half - prod, 0.0))
+    # l/2 + sqrt(l^2/4 - prod) without squaring l, which overflows past 1e154
+    half, root = l / 2.0, math.sqrt(prod)
+    lam_p = half + np.sqrt(np.maximum(half - root, 0.0)) * np.sqrt(half + root)
     # lam_p = 0 only where l = 0, and there prod = 0 too
     lam_m = prod / (lam_p + (lam_p == 0.0))
-    return n0, n1, l, delta, lam_p, lam_m
+    return n0, n1, l, lam_p, lam_m
 
 
 def _scalars_mp(basis, d, t, z):
-    with mp.workdps(_mp_dps_for(z)):
+    """Scalars at one t in extended precision, with Delta from the duals;
+    the reference for `_scalars_double`."""
+    with mp.workdps(max(40, 30 + int(0.5 * z))):
         (y0u, y0d), (y1u, y1d) = basis.y_pair_mp(t)
         n0 = abs(y0u) ** 2 + abs(y0d) ** 2
         n1 = abs(y1u) ** 2 + abs(y1d) ** 2
@@ -133,24 +135,18 @@ def _scalars_mp(basis, d, t, z):
     return out
 
 
-def _scalars(p, d, t, basis, y=None):
-    """(n0, n1, l, delta, lam_p, lam_m), each shaped like t; y, if given,
-    is _duals(basis, t) for a 1-D t."""
+def _scalars(d, t, basis, y=None):
+    """(n0, n1, l, lam_p, lam_m), each shaped like t; y, if given, is
+    _duals(basis, t) for a 1-D t.  Raises where l leaves double range."""
     ts, shaped = _on_time_axis(t)
-    t_far = abs(ts).max()
-    if t_far > basis.horizon:
+    if abs(ts).max() > basis.horizon:
         t_bad = ts[abs(ts) > basis.horizon][0]
         raise OverflowRangeError(f"t = {t_bad} beyond the numeric horizon {basis.horizon:.3f} of this basis")
-    if p.omega * t_far * t_far <= _MP_Z_THRESHOLD:
-        return tuple(shaped(v) for v in _scalars_double(d, _duals(basis, ts) if y is None else y))
-    z = p.omega * ts * ts
-    double = z <= _MP_Z_THRESHOLD
-    out = np.empty((6, ts.size))
-    if double.any():
-        out[:, double] = _scalars_double(d, _duals(basis, ts[double]) if y is None else y[..., double])
-    for k in np.flatnonzero(~double):
-        out[:, k] = _scalars_mp(basis, d, float(ts[k]), float(z[k]))
-    return tuple(shaped(out))
+    out = _scalars_double(d, _duals(basis, ts) if y is None else y, basis.gram_det)
+    if not math.isfinite(out[2].max()):   # l >= 0, so only inf or NaN can fail
+        t_bad = ts[~np.isfinite(out[2])][0]
+        raise OverflowRangeError(f"metric scalars exceed double range at t = {t_bad}")
+    return tuple(shaped(v) for v in out)
 
 
 def metric(
@@ -164,8 +160,7 @@ def metric(
     eta_dot comes from the analytic derivative y' = -i H^dag y pushed
     through the outer-product sum, not from finite differences.
     """
-    if basis is None:
-        basis = solution_basis(p)
+    basis = basis or solution_basis(p)
     ts, shaped = _on_time_axis(t)
     y = _duals(basis, ts)
     w = np.array([d.d0_sq, d.d1_sq])[:, None, None, None]
@@ -174,7 +169,7 @@ def metric(
     a_bar = p.E - 1j * p.omega * ts   # conjugate of H_00
     m = -1j * np.array([a_bar * eta[0] + eta[1], eta[0] + a_bar.conj() * eta[1]])
     eta, eta_dot = shaped(eta), shaped(m + m.conj().swapaxes(0, 1))
-    _, _, l, delta, lam_p, lam_m = (shaped(v) for v in _scalars(p, d, ts, basis, y))
+    _, _, l, lam_p, lam_m = (shaped(v) for v in _scalars(d, ts, basis, y))
     return MetricState(
         t=shaped(ts),
         eta=eta,
@@ -182,7 +177,7 @@ def metric(
         lambda_plus=lam_p,
         lambda_minus=lam_m,
         l=l,
-        delta=delta,
+        delta=basis.gram_det,
         X=eta[1, 0].real,
         Y=eta[1, 0].imag,
         Z=(eta[0, 0].real - eta[1, 1].real) / 2.0,
@@ -200,10 +195,7 @@ def eigenvalues(
 ) -> tuple:
     """(lam_plus, lam_minus) at t, a float or a 1-D array, without
     assembling the full state; each is shaped like t."""
-    if basis is None:
-        basis = solution_basis(p)
-    _, _, _, _, lam_p, lam_m = _scalars(p, d, t, basis)
-    return lam_p, lam_m
+    return _scalars(d, t, basis or solution_basis(p))[3:]
 
 
 def eta_evolution_residual(
@@ -214,8 +206,7 @@ def eta_evolution_residual(
 ) -> float:
     """Max-entry magnitude of i eta_dot - (H^dag eta - eta H) with eta_dot
     recomputed by central finite differences of metric(.)."""
-    if basis is None:
-        basis = solution_basis(p)
+    basis = basis or solution_basis(p)
     h = 1e-6 * max(1.0, abs(t))
     eta_plus = metric(p, d, t + h, basis).eta
     eta_minus = metric(p, d, t - h, basis).eta
@@ -278,15 +269,13 @@ def equal_d_bound(
     basis: SolutionBasis | None = None,
 ) -> float:
     """Smallest |D|^2 with D0 = D1 = D keeping the dilation valid on the
-    interval: max of (l~ + sqrt(l~^2 - 4 Delta)) / (2 Delta)."""
-    if basis is None:
-        basis = solution_basis(p)
+    interval: max of lam_plus / Delta at D0 = D1 = 1, which is
+    (l~ + sqrt(l~^2 - 4 Delta)) / (2 Delta)."""
+    basis = basis or solution_basis(p)
     unit = DilationParams(1.0, 1.0)
 
     def f(t):
-        n0, n1, _, delta, _, _ = _scalars(p, unit, t, basis)
-        lt = n0 + n1
-        return (lt + np.sqrt(np.maximum(lt * lt - 4.0 * delta, 0.0))) / (2.0 * delta)
+        return _scalars(unit, t, basis)[3] / basis.gram_det
 
     ts = _grid(float(interval[0]), float(interval[1]))
     return _grid_max_refined(f, ts, f(ts))
@@ -299,15 +288,14 @@ def approx_bounds_interval(
 ) -> tuple[float, float]:
     """Large-time approximate bounds on an interval [0, t_b]:
     d0_min = max 2/||y0||^2 and d1_min = max ||y0||^2."""
-    if basis is None:
-        basis = solution_basis(p)
+    basis = basis or solution_basis(p)
     unit = DilationParams(1.0, 1.0)
 
     def n0_at(t):
-        return _scalars(p, unit, t, basis)[0]
+        return _scalars(unit, t, basis)[0]
 
     ts = _grid(float(interval[0]), float(interval[1]))
-    n0, n1 = _scalars(p, unit, ts, basis)[:2]
+    n0, n1 = _scalars(unit, ts, basis)[:2]
     if math.sqrt(n1[-1]) > 0.1 * math.sqrt(n0[-1]):
         warnings.warn(
             "||y1(t_b)|| is not small against ||y0(t_b)||; the approximate bounds may be loose",
@@ -326,8 +314,7 @@ def refined_d1_bound(
 ) -> float:
     """Refined |D1|^2 bound (|D0|^2 ||y0||^2 - 1) / (|D0|^2 - ||y1||^2),
     maximized over a grid on [0, t0]; in practice the endpoint dominates."""
-    if basis is None:
-        basis = solution_basis(p)
+    basis = basis or solution_basis(p)
     unit = DilationParams(1.0, 1.0)
 
     def rhs(n0, n1):
@@ -336,49 +323,39 @@ def refined_d1_bound(
         return np.where(usable, (d0_sq * n0 - 1.0) / np.where(usable, den, 1.0), -math.inf)
 
     ts = _grid(0.0, float(t0))
-    n0, n1 = _scalars(p, unit, ts, basis)[:2]
+    n0, n1 = _scalars(unit, ts, basis)[:2]
     if d0_sq <= n1[-1]:
         raise DegenerateDenominatorError(
             f"need d0_sq > ||y1(t0)||^2 = {n1[-1]}, got d0_sq = {d0_sq}"
         )
-    return _grid_max_refined(lambda t: rhs(*_scalars(p, unit, t, basis)[:2]), ts, rhs(n0, n1))
+    return _grid_max_refined(lambda t: rhs(*_scalars(unit, t, basis)[:2]), ts, rhs(n0, n1))
 
 
-def _first_drop(f: np.ndarray) -> int | None:
-    """Smallest k with f[k-1] >= 0 > f[k]; NaN entries never match."""
-    k = np.flatnonzero((f[:-1] >= 0.0) & (f[1:] < 0.0))
-    return int(k[0]) + 1 if k.size else None
-
-
-def _breakdown_scan(p, d, t_lo: float, t_hi: float, basis) -> float | None:
-    """First t in (t_lo, t_hi] where lam_minus crosses one, or None.  The
-    extended-precision grid points are evaluated in grid order only until a
-    crossing shows up, so none past the breakdown."""
+def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
+    """First t in (t_lo, t_hi] where lam_minus crosses one, or None.  Where
+    l leaves double range lam_minus reads as 0, since it is below
+    2 |D0 D1|^2 Delta / l there."""
     if t_hi > basis.horizon:
         raise OverflowRangeError(
             f"t_max = {t_hi} beyond the numeric horizon {basis.horizon:.3f} of this basis"
         )
+
+    def drop(ts):   # lam_minus - 1
+        return _scalars_double(d, _duals(basis, ts), basis.gram_det)[4] - 1.0
+
     ts = _grid(t_lo, t_hi)
-    z = p.omega * ts * ts
-    extended = z > _MP_Z_THRESHOLD
-    f = np.full(ts.size, math.nan)   # lam_minus - 1 on the grid
-    if not extended.all():
-        f[~extended] = _scalars_double(d, _duals(basis, ts[~extended]))[5] - 1.0
-    for k in np.flatnonzero(extended):
-        if _first_drop(f[:k]) is not None:
-            break
-        f[k] = _scalars_mp(basis, d, float(ts[k]), float(z[k]))[5] - 1.0
+    f = drop(ts)
     if f[0] < -VALIDITY_TOL:
         raise InvalidMetricError(
             f"dilation invalid already at t = {t_lo:g} (lambda_minus = {1.0 + f[0]})"
         )
-    k = _first_drop(f)
-    if k is None:
+    drops = np.flatnonzero((f[:-1] >= 0.0) & (f[1:] < 0.0))   # f[k] >= 0 > f[k + 1]
+    if not drops.size:
         return None
-    lo, hi = float(ts[k - 1]), float(ts[k])
+    lo, hi = float(ts[drops[0]]), float(ts[drops[0] + 1])
     while hi - lo > BISECT_XTOL:
         mid = (lo + hi) / 2.0
-        if _scalars(p, d, mid, basis)[5] >= 1.0:
+        if drop(np.array([mid]))[0] >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -395,7 +372,7 @@ def breakdown_time(
 
     Scans with step 1e-3 and bisects the first sign change down to 1e-9.
     """
-    return _breakdown_scan(p, d, 0.0, float(t_max), basis or solution_basis(p))
+    return _breakdown_scan(d, 0.0, float(t_max), basis or solution_basis(p))
 
 
 @lru_cache(maxsize=256)
@@ -403,7 +380,7 @@ def _breakdown_cached(
     p: HamiltonianParams, d: DilationParams, t_start: float, t_end: float, basis: SolutionBasis
 ) -> float | None:
     """Breakdown time inside the span (t_start, t_end], memoized."""
-    return _breakdown_scan(p, d, t_start, t_end, basis)
+    return _breakdown_scan(d, t_start, t_end, basis)
 
 
 def metric_asymptotics(

@@ -188,6 +188,14 @@ class SolutionBasis:
             return CLOSED_FORM_T_MAX
         return math.sqrt(700.0 / self.params.omega)
 
+    @property
+    def gram_det(self) -> float:
+        """|det[y0, y1]|^2 = ||y0||^2 ||y1||^2 - |<y0|y1>|^2, constant in t
+        by Liouville's formula (trace H is 2E, so det[x0, x1] ~ e^{-2iEt})."""
+        if self.representation is Representation.CLOSED_FORM_HALF:
+            return 1.0
+        return 4.0 * self.params.omega ** 2
+
     def x_pair(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(x0, x1) at t, a float or 1-D array of n times: shape (2,) or (2, n)."""
         if self.representation is Representation.CLOSED_FORM_HALF:

@@ -9,11 +9,12 @@ Everything here is a pure function of its arguments.  Kummer's M comes
 from mpmath's compiled hypergeometric series kernel (`mp.hyp1f1`), which
 raises its own precision until the sum is accurate or, for a terminating
 series, exactly zero.  Whittaker values are computed in mpmath working
-precision sized to the argument, because the connection formula cancels
-like e^z on the positive ray, then rounded to a Python complex on return;
-past magnitude 50 the large-argument expansion takes over.  The rotated ray
-(argument e^{i pi} * z) is kept symbolic through the `Ray` enum so that
-fractional powers never see a floating-point branch ambiguity.
+precision sized to the argument and kappa, because the connection formula
+cancels like e^z |z|^{-2 kappa} on the positive ray, then rounded to a
+Python complex on return; past magnitude 50 (more for kappa < -1.25) the
+large-argument expansion takes over.  The rotated ray (argument
+e^{i pi} * z) is kept symbolic through the `Ray` enum so that fractional
+powers never see a floating-point branch ambiguity.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ __all__ = [
 ]
 
 SERIES_MAX_ABS_Z = 50.0     # series regime boundary for the public kummer_m
-# Magnitude above which whittaker_w goes asymptotic.  The optimally
-# truncated expansion is off by ~e^{-|z|} |z|^{-2 kappa} relative on either
-# ray: at 30, 1.8e-10 on the rotated and 1.5e-11 on the positive ray for
-# kappa = -0.926; at 48, at most 1.3e-16 for every kappa >= -1.25
-# (tools/whittaker_crossover.py).
-ASYM_CROSSOVER = 50.0
+# Magnitude above which whittaker_w goes asymptotic (`_asym_crossover`).  The
+# optimally truncated expansion is off by ~e^{-|z|} |z|^{-2 kappa} relative
+# on either ray, so the crossover grows as kappa falls: errors reach the
+# rounding level from magnitude 48 for kappa >= -1.25 and from about
+# 42 - 6 kappa below that, up to -kappa = 10 (tools/whittaker_crossover.py).
+KAPPA_FLOOR = -1.25         # lowest kappa the base crossover and series precision cover
+ASYM_CROSSOVER = 50.0       # for kappa >= KAPPA_FLOOR
+ASYM_CROSSOVER_SLOPE = 6.0  # added magnitude per unit of kappa below KAPPA_FLOOR
 ZERO_PREC_FACTOR = 8        # hyp1f1 sums cancelling past 8x the working bits are zero
 ASYM_MIN_Z = 10.0           # validity floor of the leading-order form
 ERFI_MAX_ARG = 20.0         # erfi exceeds double range beyond this
@@ -163,9 +166,10 @@ def _whittaker_series_mp(kappa, mu, magnitude, ray):
     valid because 2 mu is non-integral.  On the rotated ray the power
     z^{1/2+mu} carries the phase e^{i pi (1/2+mu)} and the series argument
     is -magnitude.  The working precision grows with the magnitude because
-    the two branches cancel like e^z.
+    the two branches cancel like e^z |z|^{-2 kappa} on the positive ray.
     """
-    dps = max(30, 20 + int(0.6 * magnitude))
+    extra = 2.0 * max(0.0, KAPPA_FLOOR - kappa) * math.log10(max(magnitude, 1.0))
+    dps = max(30, 20 + int(0.6 * magnitude + extra))
     with mp.workdps(dps):
         kap = mp.mpf(kappa)
         muu = mp.mpf(mu)
@@ -221,10 +225,15 @@ def _as_finite_complex(value) -> complex:
     return out
 
 
+def _asym_crossover(kappa: float) -> float:
+    """Magnitude beyond which W_{kappa,mu} comes from the asymptotic expansion."""
+    return ASYM_CROSSOVER + ASYM_CROSSOVER_SLOPE * max(0.0, KAPPA_FLOOR - kappa)
+
+
 def _whittaker_mp(kappa, mu, magnitude, ray):
-    """W_{kappa,mu} as an mpc: connection formula up to magnitude 50,
+    """W_{kappa,mu} as an mpc: connection formula up to `_asym_crossover`,
     asymptotic expansion beyond."""
-    if magnitude > ASYM_CROSSOVER:
+    if magnitude > _asym_crossover(kappa):
         return _whittaker_asym_mp(kappa, mu, magnitude, ray)
     return _whittaker_series_mp(kappa, mu, magnitude, ray)
 
@@ -232,9 +241,10 @@ def _whittaker_mp(kappa, mu, magnitude, ray):
 def whittaker_w(idx: WhittakerIndex, z: RayArgument) -> complex:
     """Whittaker W_{kappa,mu} at magnitude * e^{0 or i pi}.
 
-    Uses the M-series connection formula up to magnitude 50 and the
-    corrected asymptotic expansion beyond.  magnitude = 0 is rejected;
-    callers handle the small-argument limit themselves.
+    Uses the M-series connection formula up to `_asym_crossover(kappa)`
+    (50 for kappa >= -1.25) and the corrected asymptotic expansion beyond.
+    magnitude = 0 is rejected; callers handle the small-argument limit
+    themselves.
     """
     if z.magnitude <= 0.0:
         raise DomainError("whittaker_w needs magnitude > 0 (use the small-t limit path)")

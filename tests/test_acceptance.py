@@ -98,7 +98,12 @@ def test_criterion_3_refined_bound():
 
 
 def test_criterion_4_gram_conservation():
-    worst = max(abs(metric(P, D_REF, float(t)).delta - 1.0) for t in np.arange(0.0, 4.5 + 1e-9, 1e-2))
+    # metric(...).delta is the basis constant, so Delta is recomputed from the duals
+    worst = 0.0
+    for t in np.arange(0.0, 4.5 + 1e-9, 1e-2):
+        y0, y1 = solution_basis(P).y_pair(float(t))
+        delta = np.vdot(y0, y0).real * np.vdot(y1, y1).real - abs(np.vdot(y0, y1)) ** 2
+        worst = max(worst, abs(delta - 1.0))
     ok_delta = worst <= 1e-9
     ok_det = True
     for omega, t_hi in ((0.25, 4.0), (0.5, 4.0), (1.0, 2.5)):

@@ -343,6 +343,56 @@ class TestGramConservation:
             assert det == pytest.approx(dets[0], rel=1e-8)
 
 
+# every basis: Whittaker at general w and w = 1/2, and the closed form
+_BASES = [(w, Representation.WHITTAKER_GENERAL) for w in (0.25, 0.37, 0.5, 1.0, 1.3)] + [
+    (0.5, Representation.CLOSED_FORM_HALF)
+]
+
+
+class TestDoublePrecisionOracle:
+    """The double-precision reduction with the constant Gram determinant
+    against `_scalars_mp`, which takes Delta from the duals in 40+ digits."""
+
+    @pytest.mark.parametrize("omega, representation", _BASES)
+    @pytest.mark.parametrize("d", [D_REF, DilationParams(1.0, 1.0), DilationParams(5.0, 5.0)])
+    def test_eigenvalues_match_extended_precision(self, omega, representation, d):
+        p = HamiltonianParams(1.0, omega)
+        basis = solution_basis(p, representation)
+        ts = np.linspace(0.0, basis.horizon, 15)
+        lam_p, lam_m = eigenvalues(p, d, ts, basis)
+        for k, t in enumerate(ts):
+            _, _, _, _, ref_p, ref_m = metric_module._scalars_mp(basis, d, float(t), omega * t * t)
+            assert lam_p[k] == pytest.approx(ref_p, rel=1e-13), t
+            assert lam_m[k] == pytest.approx(ref_m, rel=1e-13), t
+
+    @pytest.mark.parametrize("omega, representation", _BASES)
+    def test_gram_det_is_the_squared_determinant(self, omega, representation):
+        basis = solution_basis(HamiltonianParams(1.0, omega), representation)
+        for t in np.linspace(0.0, basis.horizon, 5):
+            with mp.workdps(60):
+                (y0u, y0d), (y1u, y1d) = basis.y_pair_mp(float(t))
+                ref = float(abs(y0u * y1d - y0d * y1u) ** 2)
+            assert basis.gram_det == pytest.approx(ref, rel=1e-13), t
+
+
+class TestScanOverflow:
+    # D0^2 = 1e303 drives l out of double range from t = 5.6 on (||y0||^2
+    # = 1.4e5 at t = 5.5), long after lam_minus ~ D1^2 / ||y0||^2 crossed one
+    D_HUGE = DilationParams(1e303, 238.0)
+
+    def test_breakdown_scan_reads_infinite_l_as_below_one(self):
+        t_break = breakdown_time(P, self.D_HUGE, 6.0)
+        assert t_break == breakdown_time(P, self.D_HUGE, 5.0)
+        assert t_break == pytest.approx(4.0003, abs=1e-3)
+
+    def test_eigenvalues_raise_where_l_overflows(self):
+        assert np.isfinite(eigenvalues(P, self.D_HUGE, 5.5)).all()
+        with pytest.raises(OverflowRangeError):
+            eigenvalues(P, self.D_HUGE, 6.0)
+        with pytest.raises(OverflowRangeError):
+            eigenvalues(P, self.D_HUGE, np.linspace(5.0, 6.0, 11))
+
+
 class TestAsymptotics:
     def test_formula_value(self):
         lam_p, lam_m = metric_asymptotics(P, DilationParams(1.0, 1.0), 5.0)

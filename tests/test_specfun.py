@@ -19,6 +19,7 @@ from ptdilate.specfun import (
     Ray,
     RayArgument,
     WhittakerIndex,
+    _asym_crossover,
     _erfi_series_mp,
     _whittaker_asym_mp,
     _whittaker_series_mp,
@@ -178,18 +179,30 @@ class TestWhittakerW:
             asym = complex(_whittaker_asym_mp(kappa, 0.25, 30.0, ray))
             assert abs(series - asym) <= 1e-6 * abs(asym)
 
-    @pytest.mark.parametrize("omega", [0.25, 0.37, 1.0, 1.3])
+    @pytest.mark.parametrize("omega", [0.05, 0.1, 0.25, 0.37, 1.0, 1.3])
     @pytest.mark.parametrize("which", ["kappa", "kappa_prime"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("ray", [Ray.POSITIVE, Ray.ROTATED])
     def test_against_mpmath_whitw(self, omega, which, sign, ray):
         # magnitudes straddle 30, where the asymptotic form is up to 1e-10
-        # off, and the crossover at 50; an exact zero must stay exact
+        # off, and the crossover at 50, where it is still 1.9e-8 off for
+        # kappa = -5.25 (omega = 0.05); an exact zero must stay exact
         kappa = sign * (1.0 / (4.0 * omega) + (-0.25 if which == "kappa" else 0.25))
         for mag in (0.5, 5.0, 12.0, 29.9, 30.01, 30.5, 33.0, 37.0, 45.0, 49.9, 50.01, 55.0):
             value = whittaker_w(WhittakerIndex(kappa), RayArgument(mag, ray))
             ref = _whitw_oracle(kappa, mag, ray)
             assert abs(value - ref) <= 1e-13 * abs(ref), (mag, value, ref)
+
+    @pytest.mark.parametrize("omega", [0.03, 0.05, 0.1, 0.15])
+    @pytest.mark.parametrize("ray", [Ray.POSITIVE, Ray.ROTATED])
+    def test_crossover_follows_kappa(self, omega, ray):
+        # either side of the kappa-dependent crossover for the negative
+        # indices, whose asymptotic error grows like |z|^{-2 kappa}
+        for kappa in (0.25 - 1.0 / (4.0 * omega), -0.25 - 1.0 / (4.0 * omega)):
+            for mag in (_asym_crossover(kappa) - 0.01, _asym_crossover(kappa) + 0.01):
+                value = whittaker_w(WhittakerIndex(kappa), RayArgument(mag, ray))
+                ref = _whitw_oracle(kappa, mag, ray)
+                assert abs(value - ref) <= 1e-13 * abs(ref), (kappa, mag, value, ref)
 
     def test_hermite_exact_zero(self):
         # W_{5/4,1/4}(1/2) is e^{-z/2} z^{1/4} H_2(sqrt z) / 4 with H_2(sqrt(1/2)) = 0

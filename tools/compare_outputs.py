@@ -42,6 +42,8 @@ INVOCATIONS = [
     ("simulate_span_start", ["simulate"], {"d0_sq": 0.9, "t_start": 2.0, "t_end": 3.5}),
     ("metric_scan_half", ["metric-scan"], {"d0_sq": 2.0, "d1_sq": 500.0, "t_end": 6.0}),
     ("metric_scan_037", ["metric-scan"], {"omega": 0.37, "t_end": 10.0, "grid_step": 0.05}),
+    # w t^2 up to 520: the asymptotic W past magnitude 50, and l past 1e154
+    ("metric_scan_far", ["metric-scan"], {"omega": 1.3, "t_end": 20.0, "grid_step": 0.25}),
     ("efficiency", ["efficiency"], {"t_end": 3.9, "initial_state": _seeded_state(2)}),
     ("bounds", ["bounds"], None),
     ("breakdown", ["breakdown", "--tmax", "5.0"], None),
