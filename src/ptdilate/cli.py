@@ -22,7 +22,9 @@ from .dilation import H4Mode, assemble_dilated
 from .errors import DegenerateDenominatorError, PTDilateError, ValidationError
 from .evolve import EvolutionConfig, _analytic_path, _efficiency, _eta_norm, simulate_dilated
 from .metric import (
+    VALIDITY_TOL,
     DilationParams,
+    _grid,
     approx_bounds_interval,
     breakdown_time,
     eigenvalues,
@@ -150,8 +152,7 @@ class Scenario:
         return _H4_MODES[self.h4_mode]
 
     def grid(self) -> np.ndarray:
-        n = max(1, int(round((self.t_end - self.t_start) / self.grid_step)))
-        return np.linspace(self.t_start, self.t_end, n + 1)
+        return _grid(self.t_start, self.t_end, self.grid_step)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -184,7 +185,7 @@ def cmd_spectrum(scn: Scenario, out: Path) -> None:
 
 def _write_lambda_csv(path: Path, p, d, grid, basis) -> None:
     lam_p, lam_m = eigenvalues(p, d, grid, basis)
-    valid = np.where(lam_m >= 1.0 - 1e-12, "1", "0")
+    valid = np.where(lam_m >= 1.0 - VALIDITY_TOL, "1", "0")
     _write_csv(path, ["t", "lambda_minus", "lambda_plus", "valid"], zip(grid, lam_m, lam_p, valid))
 
 
@@ -198,7 +199,7 @@ def cmd_bounds(scn: Scenario, out: Path) -> None:
     interval = (scn.t_start, scn.t_end)
     d0_min, d1_min = approx_bounds_interval(p, interval, basis)
     y0_end = basis.y0(scn.t_end)
-    naive_d1 = float(np.vdot(y0_end, y0_end).real)
+    naive_d1 = float(np.vdot(y0_end, y0_end).real) / basis.gram_det
     payload = {
         "interval": [scn.t_start, scn.t_end],
         "equal_d_bound": _round12(equal_d_bound(p, interval, basis)),

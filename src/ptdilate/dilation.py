@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidMetricError, NearBreakdownError, ValidationError
-from .metric import DilationParams, MetricState, metric
+from .metric import VALIDITY_TOL, DilationParams, MetricState, metric
 from .model import HamiltonianParams, hamiltonian
 from .solutions import SolutionBasis
 
@@ -44,7 +44,6 @@ __all__ = [
     "hermiticity_defect",
 ]
 
-TAU_VALID_TOL = 1e-12       # lam_minus >= 1 - this is accepted for the Hermitian root
 TAU_DOT_GUARD = 1e-9        # lam_minus - 1 below this makes tau' unreliable
 H4_HERMITICITY_TOL = 1e-8
 
@@ -138,7 +137,7 @@ def tau_dot_entries(
 def tau_from_metric(ms: MetricState) -> TauDecomp:
     """Hermitian square root of eta - 1; requires lam_minus >= 1.  For a
     state over n times, a, b, c, d are arrays and tau has shape (2, 2, n)."""
-    invalid = ms.lambda_minus < 1.0 - TAU_VALID_TOL
+    invalid = ms.lambda_minus < 1.0 - VALIDITY_TOL
     if invalid.any():
         k = np.argmax(invalid)
         lam_m, t = np.ravel(ms.lambda_minus)[k], np.ravel(ms.t)[k]
@@ -254,7 +253,7 @@ def post_breakdown_tau(ms: MetricState) -> tuple[np.ndarray, float]:
     of H (the defect does not depend on any Hermitian h4 choice); tau' is
     a central finite difference of the principal root.
     """
-    if ms.lambda_minus >= 1.0 - TAU_VALID_TOL:
+    if ms.lambda_minus >= 1.0 - VALIDITY_TOL:
         raise ValidationError(
             f"lambda_minus = {ms.lambda_minus} >= 1 at t = {ms.t}; use tau_from_metric"
         )
@@ -280,7 +279,7 @@ def hermiticity_defect(
 ) -> float:
     """||h1 - h1^dag||_max at time t, on either side of breakdown."""
     ms = metric(p, d, t, basis)
-    if ms.lambda_minus < 1.0 - TAU_VALID_TOL:
+    if ms.lambda_minus < 1.0 - VALIDITY_TOL:
         return post_breakdown_tau(ms)[1]
     h1 = _assemble(ms, mode).h1
     return float(np.abs(h1 - h1.conj().T).max())

@@ -8,7 +8,6 @@ at whatever off-grid times the step controller asks for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -17,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 from .dilation import H4Mode, assemble_dilated, tau_from_metric
 from .errors import BreakdownError, IntegrationError, ValidationError
-from .metric import DilationParams, _abs2, _breakdown_cached, metric
+from .metric import VALIDITY_TOL, DilationParams, _abs2, _breakdown_cached, metric
 from .model import HamiltonianParams
 from .solutions import SolutionBasis, solution_basis
 
@@ -183,7 +182,7 @@ def simulate_dilated(
     ref_norm = np.linalg.norm(psi_ref, axis=0)
     up_norm = np.linalg.norm(upper, axis=0)
     traj.fidelity = _abs2((psi_ref.conj() * upper).sum(axis=0)) / (ref_norm**2 * up_norm**2)
-    traj.valid = ms.lambda_minus >= 1.0 - 1e-12
+    traj.valid = ms.lambda_minus >= 1.0 - VALIDITY_TOL
     traj.extras["psi_ref"] = psi_ref.T
     traj.extras["efficiency"] = _efficiency(psi_ref, ms.eta)
     traj.extras["lower_consistency"] = np.linalg.norm(lower - _apply(tau_t, upper), axis=0)

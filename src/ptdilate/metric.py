@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateDenominatorError,
@@ -230,37 +231,29 @@ def _grid(a: float, b: float, step: float = SCAN_STEP) -> np.ndarray:
     n = max(1, int(round((b - a) / step)))
     return np.linspace(a, b, n + 1)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# --- parameter bounds ---------------------------------------------------------
+# With a = |D0|^2, b = |D1|^2, n0 = ||y0||^2 and n1 = ||y1||^2, lam_minus >= 1
+# holds exactly when det(eta - 1) = a b Delta - (a n0 + b n1) + 1 >= 0 and
+# tr(eta - 1) >= 0.  Each bound is a slice of that region, maximized over t.
+
+_UNIT = DilationParams(1.0, 1.0)
 
 
-def _refine_max(f, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximum refinement on [lo, hi]; returns max value."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d_ = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d_)
-    for _ in range(iters):
-        if b - a < 1e-10:
-            break
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _GOLDEN * (b - a)
-            fd = f(d_)
-    return max(fc, fd, f((a + b) / 2.0))
+def _slice_max(basis, ts: np.ndarray, bound) -> float:
+    """Max over t of bound(n0, n1, lam_p, Delta), with the unit-D scalars
+    scanned on the grid ts, then refined between the best point's grid
+    neighbours by scipy's bounded minimizer."""
 
+    def f(t):
+        n0, n1, _, lam_p, _ = _scalars(_UNIT, t, basis)
+        return bound(n0, n1, lam_p, basis.gram_det)
 
-def _grid_max_refined(f, ts: np.ndarray, values: np.ndarray) -> float:
-    """Max of f from values = f(ts), refined between the grid neighbours."""
+    values = f(ts)
     k = int(np.argmax(values))
-    bracket_lo = ts[max(k - 1, 0)]
-    bracket_hi = ts[min(k + 1, len(ts) - 1)]
-    if bracket_hi <= bracket_lo:
-        return float(values[k])
-    return float(max(values[k], _refine_max(f, bracket_lo, bracket_hi)))
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    return float(max(values[k], -res.fun))
 
 
 def equal_d_bound(
@@ -269,16 +262,10 @@ def equal_d_bound(
     basis: SolutionBasis | None = None,
 ) -> float:
     """Smallest |D|^2 with D0 = D1 = D keeping the dilation valid on the
-    interval: max of lam_plus / Delta at D0 = D1 = 1, which is
-    (l~ + sqrt(l~^2 - 4 Delta)) / (2 Delta)."""
-    basis = basis or solution_basis(p)
-    unit = DilationParams(1.0, 1.0)
-
-    def f(t):
-        return _scalars(unit, t, basis)[3] / basis.gram_det
-
+    interval: max of lam_plus / Delta at D0 = D1 = 1, the larger root of
+    det(eta - 1) = 0 on the diagonal a = b."""
     ts = _grid(float(interval[0]), float(interval[1]))
-    return _grid_max_refined(f, ts, f(ts))
+    return _slice_max(basis or solution_basis(p), ts, lambda n0, n1, lam_p, delta: lam_p / delta)
 
 
 def approx_bounds_interval(
@@ -287,22 +274,18 @@ def approx_bounds_interval(
     basis: SolutionBasis | None = None,
 ) -> tuple[float, float]:
     """Large-time approximate bounds on an interval [0, t_b]:
-    d0_min = max 2/||y0||^2 and d1_min = max ||y0||^2."""
+    d0_min = max 2/||y0||^2 and d1_min = max ||y0||^2 / Delta, the
+    |D0|^2 -> inf limit of `refined_d1_bound`."""
     basis = basis or solution_basis(p)
-    unit = DilationParams(1.0, 1.0)
-
-    def n0_at(t):
-        return _scalars(unit, t, basis)[0]
-
     ts = _grid(float(interval[0]), float(interval[1]))
-    n0, n1 = _scalars(unit, ts, basis)[:2]
-    if math.sqrt(n1[-1]) > 0.1 * math.sqrt(n0[-1]):
+    n0_end, n1_end = _scalars(_UNIT, ts[-1], basis)[:2]
+    if math.sqrt(n1_end) > 0.1 * math.sqrt(n0_end):
         warnings.warn(
             "||y1(t_b)|| is not small against ||y0(t_b)||; the approximate bounds may be loose",
             stacklevel=2,
         )
-    d0_min = _grid_max_refined(lambda t: 2.0 / n0_at(t), ts, 2.0 / n0)
-    d1_min = _grid_max_refined(n0_at, ts, n0)
+    d0_min = _slice_max(basis, ts, lambda n0, n1, lam_p, delta: 2.0 / n0)
+    d1_min = _slice_max(basis, ts, lambda n0, n1, lam_p, delta: n0 / delta)
     return d0_min, d1_min
 
 
@@ -312,23 +295,24 @@ def refined_d1_bound(
     t0: float,
     basis: SolutionBasis | None = None,
 ) -> float:
-    """Refined |D1|^2 bound (|D0|^2 ||y0||^2 - 1) / (|D0|^2 - ||y1||^2),
-    maximized over a grid on [0, t0]; in practice the endpoint dominates."""
+    """Smallest |D1|^2 keeping the dilation valid on [0, t0] at the given
+    |D0|^2: the max over t of (|D0|^2 ||y0||^2 - 1) / (|D0|^2 Delta -
+    ||y1||^2), the b-root of det(eta - 1) = 0; in practice the endpoint
+    dominates."""
     basis = basis or solution_basis(p)
-    unit = DilationParams(1.0, 1.0)
+    ts = _grid(0.0, float(t0))
+    n1_end = _scalars(_UNIT, ts[-1], basis)[1]
+    if d0_sq * basis.gram_det <= n1_end:
+        raise DegenerateDenominatorError(
+            f"need d0_sq * Delta > ||y1(t0)||^2 = {n1_end}, got d0_sq = {d0_sq}, Delta = {basis.gram_det}"
+        )
 
-    def rhs(n0, n1):
-        den = d0_sq - n1
+    def bound(n0, n1, lam_p, delta):
+        den = d0_sq * delta - n1
         usable = den > 1e-12
         return np.where(usable, (d0_sq * n0 - 1.0) / np.where(usable, den, 1.0), -math.inf)
 
-    ts = _grid(0.0, float(t0))
-    n0, n1 = _scalars(unit, ts, basis)[:2]
-    if d0_sq <= n1[-1]:
-        raise DegenerateDenominatorError(
-            f"need d0_sq > ||y1(t0)||^2 = {n1[-1]}, got d0_sq = {d0_sq}"
-        )
-    return _grid_max_refined(lambda t: rhs(*_scalars(unit, t, basis)[:2]), ts, rhs(n0, n1))
+    return _slice_max(basis, ts, bound)
 
 
 def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:

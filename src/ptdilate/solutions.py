@@ -34,8 +34,6 @@ from .errors import DomainError, OverflowRangeError, ValidationError
 from .model import HamiltonianParams, hamiltonian
 from .specfun import (
     Ray,
-    RayArgument,
-    WhittakerIndex,
     _erfi_series_mp,
     _whittaker_mp,
 )

@@ -177,6 +177,16 @@ class TestBoundsCommand:
         assert report["refined_d1_bound"] is None
         assert "y1" in report["refined_reason"]
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_refined_bound_at_general_omega(self, tmp_path):
+        # the least D1^2 that keeps lam_minus >= 1 on [0, 2], by bisection
+        # on a 4001-point lam_minus grid, is 9.8127; without Delta = 4 w^2
+        # in the bound it would read 5.267
+        scn = _write_scenario(tmp_path / "s.json", omega=0.37, d0_sq=20.0, t_end=2.0)
+        assert main(["bounds", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bounds.json").read_text())
+        assert report["refined_d1_bound"] == pytest.approx(9.8127, abs=1e-4)
+
 
 class TestBreakdownCommand:
     def test_breakdown_written(self, tmp_path):

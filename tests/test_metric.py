@@ -55,6 +55,14 @@ def _n0_mp(t):
         return float(mp.exp(-tm * tm / 2) * (delta**2 + 2 * e**2))
 
 
+def _gram_from_duals(basis, t):
+    """Delta = ||y0||^2 ||y1||^2 - |<y0|y1>|^2 recomputed from the duals,
+    not read from the basis constant; also ||y0||^2."""
+    y0, y1 = basis.y_pair(float(t))
+    n0 = np.vdot(y0, y0).real
+    return n0 * np.vdot(y1, y1).real - abs(np.vdot(y0, y1)) ** 2, n0
+
+
 class TestMetricState:
     def test_diagonal_at_start(self):
         ms = metric(P, D_REF, 0.0)
@@ -64,7 +72,11 @@ class TestMetricState:
 
     @pytest.mark.parametrize("d", [D_REF, DilationParams(1.0, 1.0), DilationParams(7.0, 0.2)])
     def test_gram_unit(self, d):
-        assert metric(P, d, 1.5).delta == pytest.approx(1.0, abs=1e-10)
+        # Delta from the duals, and from det eta = |D0 D1|^2 Delta of the
+        # assembled metric; metric(...).delta is the basis constant
+        assert _gram_from_duals(solution_basis(P), 1.5)[0] == pytest.approx(1.0, abs=1e-10)
+        det_eta = np.linalg.det(metric(P, d, 1.5).eta).real
+        assert det_eta / (d.d0_sq * d.d1_sq) == pytest.approx(1.0, abs=1e-10)
 
     def test_lambda_minus_near_one_at_four(self):
         assert metric(P, D_REF, 4.0).lambda_minus == pytest.approx(1.0, rel=5e-3)
@@ -95,7 +107,7 @@ class TestMetricState:
     @pytest.mark.parametrize("t", [2.0, 5.5])
     def test_eigenvalues_even_in_t(self, t):
         # ||y0||^2, ||y1||^2 and |<y0|y1>| are even in t; t = 5.5 has
-        # w t^2 > 12, so both signs run on the extended-precision path
+        # w t^2 > 12, where lam_minus is far below the rounding of l
         assert eigenvalues(P, D_REF, -t) == pytest.approx(eigenvalues(P, D_REF, t), rel=1e-12)
 
     def test_eta_start_eigenvalues_exact(self):
@@ -192,6 +204,49 @@ class TestRefinedBound:
         assert refined_d1_bound(P, n1_21 + 0.01, 2.1) > 0.0
 
 
+# the Whittaker basis, where Delta = 4 w^2, also at w = 1/2
+_WHITTAKER_OMEGAS = [0.37, 0.5, 1.0, 1.3]
+
+
+def _whittaker(omega):
+    p = HamiltonianParams(1.0, omega)
+    return p, solution_basis(p, Representation.WHITTAKER_GENERAL)
+
+
+def _min_lambda_minus(p, d, basis, t_end=2.0):
+    ts = np.linspace(0.0, t_end, int(round(t_end / 1e-3)) + 1)
+    return eigenvalues(p, d, ts, basis)[1].min()
+
+
+class TestBoundsGeneralOmega:
+    """Each bound is the least value that keeps lam_minus >= 1 on [0, 2]:
+    at the bound the minimum of lam_minus on the 1e-3 grid is one, and a
+    bound 1e-6 smaller breaks the dilation."""
+
+    @pytest.mark.parametrize("omega", _WHITTAKER_OMEGAS)
+    def test_refined_bound_is_tight(self, omega):
+        p, basis = _whittaker(omega)
+        d1_sq = refined_d1_bound(p, 20.0, 2.0, basis)
+        assert _min_lambda_minus(p, DilationParams(20.0, d1_sq), basis) == pytest.approx(1.0, abs=1e-9)
+        assert _min_lambda_minus(p, DilationParams(20.0, (1.0 - 1e-6) * d1_sq), basis) < 1.0
+
+    @pytest.mark.parametrize("omega", _WHITTAKER_OMEGAS)
+    def test_equal_d_bound_is_tight(self, omega):
+        p, basis = _whittaker(omega)
+        d_sq = equal_d_bound(p, (0.0, 2.0), basis)
+        assert _min_lambda_minus(p, DilationParams(d_sq, d_sq), basis) == pytest.approx(1.0, abs=1e-9)
+        below = (1.0 - 1e-6) * d_sq
+        assert _min_lambda_minus(p, DilationParams(below, below), basis) < 1.0
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("omega", _WHITTAKER_OMEGAS)
+    def test_approx_d1_is_max_n0_over_delta(self, omega):
+        p, basis = _whittaker(omega)
+        _, d1_min = approx_bounds_interval(p, (0.0, 2.0), basis)
+        ratios = [n0 / delta for delta, n0 in (_gram_from_duals(basis, t) for t in np.linspace(0.0, 2.0, 2001))]
+        assert d1_min == pytest.approx(max(ratios), rel=1e-9)
+
+
 class TestBreakdown:
     @pytest.mark.parametrize(
         "d1_sq, t_max, expected, tol",
@@ -223,23 +278,11 @@ class TestBreakdown:
             breakdown_time(P, D_REF, 7.0)
 
     # 10000 crosses at 4.954, past w t^2 = 12 (t = 4.899), where lam_minus
-    # needs the extended-precision path
+    # is far below the rounding of l
     @pytest.mark.parametrize("d1_sq, t_max", [(238.0, 5.0), (1474.0, 5.0), (10000.0, 5.5)])
-    def test_no_extra_extended_precision_calls(self, monkeypatch, d1_sq, t_max):
-        calls = []
-        scalars_mp = metric_module._scalars_mp
-
-        def counted(*args):
-            calls.append(args[2])
-            return scalars_mp(*args)
-
-        monkeypatch.setattr(metric_module, "_scalars_mp", counted)
+    def test_scan_matches_per_point_breakdown(self, d1_sq, t_max):
         d = DilationParams(3.5, d1_sq)
-        t_break = breakdown_time(P, d, t_max)
-        scan_calls, calls[:] = list(calls), []
-        assert t_break == pytest.approx(_per_point_breakdown(d, t_max), abs=1e-12)
-        assert len(scan_calls) <= len(calls)
-        assert all(t <= t_break + 1e-3 for t in scan_calls)
+        assert breakdown_time(P, d, t_max) == pytest.approx(_per_point_breakdown(d, t_max), abs=1e-12)
 
 
 def _per_point_breakdown(d, t_max):
@@ -327,8 +370,9 @@ class TestEpSmoothness:
 
 class TestGramConservation:
     def test_delta_is_one_on_grid(self):
+        basis = solution_basis(P)
         for t in np.arange(0.0, 4.5 + 1e-9, 1e-2):
-            assert abs(metric(P, D_REF, float(t)).delta - 1.0) <= 1e-9
+            assert abs(_gram_from_duals(basis, t)[0] - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("omega, t_hi", [(0.25, 4.0), (0.5, 4.0), (1.0, 2.5)])
     def test_dual_determinant_modulus_constant(self, omega, t_hi):

@@ -46,6 +46,8 @@ INVOCATIONS = [
     ("metric_scan_far", ["metric-scan"], {"omega": 1.3, "t_end": 20.0, "grid_step": 0.25}),
     ("efficiency", ["efficiency"], {"t_end": 3.9, "initial_state": _seeded_state(2)}),
     ("bounds", ["bounds"], None),
+    # general omega: every bound divides by the Whittaker basis's Delta = 4 w^2
+    ("bounds_general", ["bounds"], {"omega": 0.37, "d0_sq": 20.0, "t_end": 2.0}),
     ("breakdown", ["breakdown", "--tmax", "5.0"], None),
     # general omega: the Whittaker basis, with a crossing at t = 1.3966 for the bisection
     ("breakdown_general", ["breakdown", "--tmax", "1.5"], {"omega": 1.3, "d1_sq": 2.0}),
