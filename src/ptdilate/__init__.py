@@ -19,7 +19,6 @@ from .dilation import (
 )
 from .errors import (
     BreakdownError,
-    ConvergenceError,
     DegenerateDenominatorError,
     DomainError,
     IntegrationError,
@@ -27,7 +26,6 @@ from .errors import (
     NearBreakdownError,
     OverflowRangeError,
     PTDilateError,
-    PoleError,
     ValidationError,
 )
 from .evolve import (
@@ -81,9 +79,6 @@ from .specfun import (
     WhittakerIndex,
     erfi,
     hermite_poly,
-    kummer_m,
-    ln_gamma,
-    whittaker_asymptotic,
     whittaker_w,
 )
 

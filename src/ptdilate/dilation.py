@@ -1,12 +1,16 @@
 """Ancilla coupling tau = sqrt(eta - 1) and the 4x4 dilated Hamiltonian.
 
-While lam_minus >= 1 the Hermitian square root exists and is parametrized
-by four reals through the entries of eta - 1,
+While lam_minus >= 1, A = eta - 1 is positive semidefinite and its
+Hermitian square root is one identity (Cayley-Hamilton for 2x2 matrices,
+Higham, Functions of Matrices, SIAM 2008),
 
-    tau = [[d + c, a - i b], [a + i b, d - c]],
-    tau^2 = [[W + Z, X - i Y], [X + i Y, W - Z]],
-    d = sqrt((W + S) / 2),  a = X/(2d),  b = Y/(2d),  c = Z/(2d),
-    S = sqrt(W^2 - X^2 - Y^2 - Z^2) = sqrt((lam_plus - 1)(lam_minus - 1)).
+    tau = (A + s 1) / (2d),  s = sqrt(det A),  2d = sqrt(tr A + 2 s),
+
+with s taken as sqrt((lam_plus - 1)(lam_minus - 1)), stable where det A
+cancels.  Differentiating tau (2d) = A + s 1 gives
+
+    tau' = (eta' + s' 1 - tau (2d)') / (2d),
+    s' = (tr A tr eta' - tr(A eta')) / (2 s),  (2d)' = (tr eta' + 2 s') / (2 (2d)).
 
 The dilated generator is assembled from the two exact block conditions
 h1 + h2 tau = H and h2^dag + h4 tau = i tau' + tau H; h4 is a gauge choice
@@ -17,7 +21,6 @@ root is no longer Hermitian and h1 picks up a nonzero Hermiticity defect.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -33,8 +36,6 @@ __all__ = [
     "TauDecomp",
     "H4Mode",
     "DilatedHamiltonian",
-    "tau_entries",
-    "tau_dot_entries",
     "tau_from_metric",
     "tau_derivative",
     "h4_select",
@@ -50,7 +51,7 @@ H4_HERMITICITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TauDecomp:
-    """Hermitian tau with its real parametrization (a, b, c, d)."""
+    """Hermitian tau = [[d + c, a - i b], [a + i b, d - c]] with its reals."""
 
     a: float
     b: float
@@ -78,75 +79,39 @@ class DilatedHamiltonian:
     tau: TauDecomp
 
 
-def _hermitian_from(a: float, b: float, c: float, d: float) -> np.ndarray:
-    return np.array(
-        [[d + c, a - 1j * b], [a + 1j * b, d - c]],
-        dtype=complex,
-    )
+def _root(ms: MetricState):
+    """(eye, A, s, 2d, tau) of the square-root identity, for a state at one
+    time or over n times (then eye broadcasts and tau has shape (2, 2, n))."""
+    eye = np.eye(2)[(...,) + (None,) * np.ndim(ms.t)]
+    A = ms.eta - eye
+    s = np.sqrt(np.maximum((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0), 0.0))
+    two_d = np.sqrt(np.maximum(A[0, 0].real + A[1, 1].real + 2.0 * s, 0.0))
+    # 2d = 0 only for A = 0, where any divisor will do
+    tau = (A + s * eye) / (two_d + (two_d == 0.0))
+    return eye, A, s, two_d, tau
 
 
-def _abcd(entries, S):
-    """(a, b, c, d) from the entries (X, Y, Z, W) of tau^2 and its S."""
-    X, Y, Z, W = entries
-    d = np.sqrt(np.maximum((W + S) / 2.0, 0.0))
-    # d = 0 only for tau^2 = 0, where X = Y = Z = 0 and any divisor will do
-    two_d = 2.0 * d + (d == 0.0)
-    return X / two_d, Y / two_d, Z / two_d, d
+def _require_valid(ms: MetricState) -> None:
+    invalid = ms.lambda_minus < 1.0 - VALIDITY_TOL
+    if np.any(invalid):
+        k = np.argmax(invalid)
+        lam_m, t = np.ravel(ms.lambda_minus)[k], np.ravel(ms.t)[k]
+        raise InvalidMetricError(f"lambda_minus = {lam_m} < 1 at t = {t}; no Hermitian root")
 
 
-def _abcd_rates(entries, rates, S):
-    """(a', b', c', d') by the chain rule through (X, Y, Z, W) and S > 0."""
-    X, Y, Z, W = entries
-    Xd, Yd, Zd, Wd = rates
-    a, b, c, d = _abcd(entries, S)
-    Sd = (W * Wd - X * Xd - Y * Yd - Z * Zd) / S
-    dd = (Wd + Sd) / (4.0 * d)
-    ad = (Xd - 2.0 * a * dd) / (2.0 * d)
-    bd = (Yd - 2.0 * b * dd) / (2.0 * d)
-    cd = (Zd - 2.0 * c * dd) / (2.0 * d)
-    return ad, bd, cd, dd
-
-
-def _s_from_entries(entries) -> float:
-    X, Y, Z, W = entries
-    return math.sqrt(max(W * W - X * X - Y * Y - Z * Z, 0.0))
-
-
-def _s_from_state(ms: MetricState) -> float:
-    # the eigenvalue form is stable when W^2 nearly cancels against X^2+Y^2+Z^2
-    return np.sqrt(np.maximum((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0), 0.0))
-
-
-def tau_entries(X: float, Y: float, Z: float, W: float) -> tuple[float, float, float, float]:
-    """(a, b, c, d) from the entries of a positive semidefinite tau^2."""
-    entries = (X, Y, Z, W)
-    return _abcd(entries, _s_from_entries(entries))
-
-
-def tau_dot_entries(
-    entries: tuple[float, float, float, float],
-    rates: tuple[float, float, float, float],
-) -> tuple[float, float, float, float]:
-    """(a', b', c', d') from (X, Y, Z, W) and their time derivatives."""
-    S = _s_from_entries(entries)
-    if S <= 0.0:
-        raise NearBreakdownError("tau derivative undefined where (eta - 1) is singular")
-    return _abcd_rates(entries, rates, S)
+def _decomp(tau: np.ndarray) -> TauDecomp:
+    diag_sum, diag_diff = tau[0, 0].real + tau[1, 1].real, tau[0, 0].real - tau[1, 1].real
+    return TauDecomp(tau[1, 0].real, tau[1, 0].imag, diag_diff / 2.0, diag_sum / 2.0, tau)
 
 
 def tau_from_metric(ms: MetricState) -> TauDecomp:
     """Hermitian square root of eta - 1; requires lam_minus >= 1.  For a
     state over n times, a, b, c, d are arrays and tau has shape (2, 2, n)."""
-    invalid = ms.lambda_minus < 1.0 - VALIDITY_TOL
-    if invalid.any():
-        k = np.argmax(invalid)
-        lam_m, t = np.ravel(ms.lambda_minus)[k], np.ravel(ms.t)[k]
-        raise InvalidMetricError(f"lambda_minus = {lam_m} < 1 at t = {t}; no Hermitian root")
-    abcd = _abcd((ms.X, ms.Y, ms.Z, ms.W), _s_from_state(ms))
-    return TauDecomp(*abcd, _hermitian_from(*abcd))
+    _require_valid(ms)
+    return _decomp(_root(ms)[-1])
 
 
-def _tau_dot_from_state(ms: MetricState) -> np.ndarray:
+def _tau_dot(ms: MetricState, root) -> np.ndarray:
     # the guard comes first, so tau_derivative raises NearBreakdownError on
     # both sides of the breakdown point
     if ms.lambda_minus - 1.0 < TAU_DOT_GUARD:
@@ -154,14 +119,13 @@ def _tau_dot_from_state(ms: MetricState) -> np.ndarray:
             f"lambda_minus - 1 = {ms.lambda_minus - 1.0:.3e} at t = {ms.t}; "
             "the square root is not differentiable at the breakdown point"
         )
+    eye, A, s, two_d, tau = root
     ed = ms.eta_dot
-    rates = (
-        float(ed[1, 0].real),
-        float(ed[1, 0].imag),
-        float((ed[0, 0].real - ed[1, 1].real) / 2.0),
-        float((ed[0, 0].real + ed[1, 1].real) / 2.0),
-    )
-    return _hermitian_from(*_abcd_rates((ms.X, ms.Y, ms.Z, ms.W), rates, _s_from_state(ms)))
+    tr_ed = ed[0, 0].real + ed[1, 1].real
+    tr_a_ed = (A * ed.swapaxes(0, 1)).sum(axis=(0, 1)).real
+    s_dot = ((A[0, 0].real + A[1, 1].real) * tr_ed - tr_a_ed) / (2.0 * s)
+    two_d_dot = (tr_ed + 2.0 * s_dot) / (2.0 * two_d)
+    return (ed + s_dot * eye - tau * two_d_dot) / two_d
 
 
 def tau_derivative(
@@ -170,8 +134,10 @@ def tau_derivative(
     t: float,
     basis: SolutionBasis | None = None,
 ) -> np.ndarray:
-    """d tau / dt by the chain rule through (X, Y, Z, W) and their rates."""
-    return _tau_dot_from_state(metric(p, d, t, basis))
+    """d tau / dt from the derivative of tau (2d) = A + s 1 and the
+    analytic eta'."""
+    ms = metric(p, d, t, basis)
+    return _tau_dot(ms, _root(ms))
 
 
 def _h4_from_pieces(mode, H, eta, tau, tau_dot):
@@ -202,20 +168,22 @@ def h4_select(
 
 
 def _blocks(H, tau, tau_dot, h4):
-    H_h = H.conj().T
-    tau_h = tau.conj().T
-    tau_dot_h = tau_dot.conj().T
-    tau_h_h4 = tau_h @ h4
-    h2 = -1j * tau_dot_h + H_h @ tau_h - tau_h_h4
-    h1 = H + 1j * (tau_dot_h @ tau) - H_h @ (tau_h @ tau) + tau_h_h4 @ tau
+    """h2^dag = i tau' + tau H - h4 tau and h1 = H - h2 tau, straight from
+    the two block conditions; no adjoint of tau enters, so the same blocks
+    serve the principal root past breakdown."""
+    h2_dag = 1j * tau_dot + tau @ H - h4 @ tau
+    h2 = h2_dag.conj().T
+    h1 = H - h2 @ tau
     hh = np.empty((4, 4), dtype=complex)
-    hh[:2, :2], hh[:2, 2:], hh[2:, :2], hh[2:, 2:] = h1, h2, h2.conj().T, h4
+    hh[:2, :2], hh[:2, 2:], hh[2:, :2], hh[2:, 2:] = h1, h2, h2_dag, h4
     return h1, h2, hh
 
 
 def _assemble(ms: MetricState, mode: H4Mode) -> DilatedHamiltonian:
-    td = tau_from_metric(ms)
-    tau_dot = _tau_dot_from_state(ms)
+    _require_valid(ms)
+    root = _root(ms)
+    td = _decomp(root[-1])
+    tau_dot = _tau_dot(ms, root)
     H = hamiltonian(ms.params, ms.t)
     h4, h4_residual = _h4_from_pieces(mode, H, ms.eta, td.tau, tau_dot)
     h1, h2, hh = _blocks(H, td.tau, tau_dot, h4)
@@ -246,12 +214,15 @@ def principal_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (V * roots) @ V.conj().T
 
 
-def post_breakdown_tau(ms: MetricState) -> tuple[np.ndarray, float]:
+def post_breakdown_tau(
+    ms: MetricState, basis: SolutionBasis | None = None
+) -> tuple[np.ndarray, float]:
     """Principal root of eta - 1 past breakdown plus the h1 defect it causes.
 
     The defect is ||h1 - h1^dag||_max with h4 fixed to the Hermitian part
     of H (the defect does not depend on any Hermitian h4 choice); tau' is
-    a central finite difference of the principal root.
+    a central finite difference of the principal root, on `basis`, which
+    must be the basis `ms` was computed on.
     """
     if ms.lambda_minus >= 1.0 - VALIDITY_TOL:
         raise ValidationError(
@@ -260,8 +231,8 @@ def post_breakdown_tau(ms: MetricState) -> tuple[np.ndarray, float]:
     eye = np.eye(2)
     tau = principal_sqrt(ms.eta - eye)
     h = 1e-6 * max(1.0, abs(ms.t))
-    tau_plus = principal_sqrt(metric(ms.params, ms.dparams, ms.t + h).eta - eye)
-    tau_minus = principal_sqrt(metric(ms.params, ms.dparams, ms.t - h).eta - eye)
+    tau_plus = principal_sqrt(metric(ms.params, ms.dparams, ms.t + h, basis).eta - eye)
+    tau_minus = principal_sqrt(metric(ms.params, ms.dparams, ms.t - h, basis).eta - eye)
     tau_dot = (tau_plus - tau_minus) / (2.0 * h)
     H = hamiltonian(ms.params, ms.t)
     h4 = 0.5 * (H + H.conj().T)
@@ -280,6 +251,6 @@ def hermiticity_defect(
     """||h1 - h1^dag||_max at time t, on either side of breakdown."""
     ms = metric(p, d, t, basis)
     if ms.lambda_minus < 1.0 - VALIDITY_TOL:
-        return post_breakdown_tau(ms)[1]
+        return post_breakdown_tau(ms, basis)[1]
     h1 = _assemble(ms, mode).h1
     return float(np.abs(h1 - h1.conj().T).max())

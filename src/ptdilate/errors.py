@@ -13,15 +13,6 @@ class DomainError(PTDilateError, ValueError):
     """Argument lies outside the supported domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole."""
-
-
-class ConvergenceError(PTDilateError, RuntimeError):
-    """A series or iteration hit its hard cap without converging.  Nothing in
-    the package raises it any more; it stays exported for callers that catch it."""
-
-
 class OverflowRangeError(PTDilateError, OverflowError):
     """Result (or a required intermediate) exceeds double range."""
 

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .model import HamiltonianParams, hamiltonian
 from .solutions import SolutionBasis, _on_time_axis, solution_basis
-from .specfun import ASYM_MIN_Z
 
 __all__ = [
     "DilationParams",
@@ -56,6 +55,7 @@ __all__ = [
 VALIDITY_TOL = 1e-12        # lam_minus >= 1 - this counts as valid
 SCAN_STEP = 1e-3            # grid step of every scan
 BISECT_XTOL = 1e-9          # breakdown-time bisection width
+ASYM_MIN_Z = 10.0           # w t^2 floor of the large-time eigenvalue forms
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,6 @@ class MetricState:
     lambda_minus: float
     l: float
     delta: float
-    X: float
-    Y: float
-    Z: float
-    W: float
     params: HamiltonianParams
     dparams: DilationParams
 
@@ -179,10 +175,6 @@ def metric(
         lambda_minus=lam_m,
         l=l,
         delta=basis.gram_det,
-        X=eta[1, 0].real,
-        Y=eta[1, 0].imag,
-        Z=(eta[0, 0].real - eta[1, 1].real) / 2.0,
-        W=(eta[0, 0].real + eta[1, 1].real) / 2.0 - 1.0,
         params=p,
         dparams=d,
     )
@@ -301,10 +293,11 @@ def refined_d1_bound(
     dominates."""
     basis = basis or solution_basis(p)
     ts = _grid(0.0, float(t0))
-    n1_end = _scalars(_UNIT, ts[-1], basis)[1]
-    if d0_sq * basis.gram_det <= n1_end:
+    # the b-root exists only where |D0|^2 Delta > ||y1||^2: demand it at every t
+    n1_max = _scalars(_UNIT, ts, basis)[1].max()
+    if d0_sq * basis.gram_det <= n1_max:
         raise DegenerateDenominatorError(
-            f"need d0_sq * Delta > ||y1(t0)||^2 = {n1_end}, got d0_sq = {d0_sq}, Delta = {basis.gram_det}"
+            f"need d0_sq * Delta > max ||y1||^2 on [0, t0] = {n1_max}, got d0_sq = {d0_sq}, Delta = {basis.gram_det}"
         )
 
     def bound(n0, n1, lam_p, delta):

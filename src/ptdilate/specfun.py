@@ -1,20 +1,19 @@
 """Special functions backing the analytic solution machinery.
 
-Whittaker W on two rays of the complex plane, Kummer's M series, the
-prefactor-free imaginary error function e^{x^2} F(x) through Dawson's
-integral F (DLMF 7.2.5), physicists' Hermite polynomials and the
-principal-branch log-Gamma.
+Whittaker W on two rays of the complex plane, the prefactor-free imaginary
+error function e^{x^2} F(x) through Dawson's integral F (DLMF 7.2.5) and
+physicists' Hermite polynomials.
 
-Everything here is a pure function of its arguments.  Kummer's M comes
-from mpmath's compiled hypergeometric series kernel (`mp.hyp1f1`), which
-raises its own precision until the sum is accurate or, for a terminating
-series, exactly zero.  Whittaker values are computed in mpmath working
-precision sized to the argument and kappa, because the connection formula
-cancels like e^z |z|^{-2 kappa} on the positive ray, then rounded to a
-Python complex on return; past magnitude 50 (more for kappa < -1.25) the
-large-argument expansion takes over.  The rotated ray (argument
-e^{i pi} * z) is kept symbolic through the `Ray` enum so that fractional
-powers never see a floating-point branch ambiguity.
+Everything here is a pure function of its arguments.  Whittaker W sums
+Kummer's M with mpmath's compiled hypergeometric series kernel
+(`mp.hyp1f1`), which raises its own precision until the sum is accurate
+or, for a terminating series, exactly zero.  Whittaker values are computed
+in mpmath working precision sized to the argument and kappa, because the
+connection formula cancels like e^z |z|^{-2 kappa} on the positive ray,
+then rounded to a Python complex on return; past magnitude 50 (more for
+kappa < -1.25) the large-argument expansion takes over.  The rotated ray
+(argument e^{i pi} * z) is kept symbolic through the `Ray` enum so that
+fractional powers never see a floating-point branch ambiguity.
 """
 
 from __future__ import annotations
@@ -26,26 +25,17 @@ from enum import Enum
 import mpmath as mp
 from scipy.special import dawsn
 
-from .errors import (
-    DomainError,
-    OverflowRangeError,
-    PoleError,
-    ValidationError,
-)
+from .errors import DomainError, OverflowRangeError, ValidationError
 
 __all__ = [
     "Ray",
     "RayArgument",
     "WhittakerIndex",
-    "ln_gamma",
-    "kummer_m",
     "whittaker_w",
-    "whittaker_asymptotic",
     "erfi",
     "hermite_poly",
 ]
 
-SERIES_MAX_ABS_Z = 50.0     # series regime boundary for the public kummer_m
 # Magnitude above which whittaker_w goes asymptotic (`_asym_crossover`).  The
 # optimally truncated expansion is off by ~e^{-|z|} |z|^{-2 kappa} relative
 # on either ray, so the crossover grows as kappa falls: errors reach the
@@ -55,7 +45,6 @@ KAPPA_FLOOR = -1.25         # lowest kappa the base crossover and series precisi
 ASYM_CROSSOVER = 50.0       # for kappa >= KAPPA_FLOOR
 ASYM_CROSSOVER_SLOPE = 6.0  # added magnitude per unit of kappa below KAPPA_FLOOR
 ZERO_PREC_FACTOR = 8        # hyp1f1 sums cancelling past 8x the working bits are zero
-ASYM_MIN_Z = 10.0           # validity floor of the leading-order form
 ERFI_MAX_ARG = 20.0         # erfi exceeds double range beyond this
 HERMITE_MAX_DEGREE = 50
 
@@ -102,27 +91,6 @@ class WhittakerIndex:
             )
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
-    z = complex(z)
-    return (
-        abs(z.imag) < 1e-12
-        and z.real < 0.5
-        and abs(z.real - round(z.real)) < 1e-12
-    )
-
-
-def ln_gamma(z: complex) -> complex:
-    """Principal-branch log-Gamma.
-
-    Raises PoleError at the poles (nonpositive integers).
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"log-Gamma pole at z = {z}")
-    with mp.workdps(25):
-        return complex(mp.loggamma(z))
-
-
 def _hyp1f1(a, b, z):
     """M(a, b, z) at the current mpmath precision.
 
@@ -133,28 +101,6 @@ def _hyp1f1(a, b, z):
     precision zeroes values that genuinely cancel that far.
     """
     return mp.hyp1f1(a, b, z, zeroprec=ZERO_PREC_FACTOR * mp.mp.prec)
-
-
-def _series_dps(abs_z: float) -> int:
-    # hyp1f1 makes up the e^|z| cancellation of an alternating series itself;
-    # this sizing, kept from the hand-summed series, is a margin on top
-    return max(25, 18 + int(0.6 * abs_z))
-
-
-def kummer_m(a: complex, b: complex, z: complex) -> complex:
-    """Confluent hypergeometric M(a, b, z) = 1F1(a; b; z) (DLMF 13.2.2).
-
-    Summed by mpmath's hypergeometric series kernel in a working precision
-    sized to |z|, then rounded to a Python complex.  Only the series regime
-    |z| <= 50 is supported.
-    """
-    if _is_nonpositive_integer(b):
-        raise PoleError(f"M(a, b, z) has poles at nonpositive integer b; got b = {b}")
-    if abs(z) > SERIES_MAX_ABS_Z:
-        raise DomainError(f"|z| = {abs(z)} outside the series regime |z| <= {SERIES_MAX_ABS_Z}")
-    with mp.workdps(_series_dps(abs(z))):
-        value = _hyp1f1(mp.mpmathify(a), mp.mpmathify(b), mp.mpmathify(z))
-    return complex(value)
 
 
 def _whittaker_series_mp(kappa, mu, magnitude, ray):
@@ -249,21 +195,6 @@ def whittaker_w(idx: WhittakerIndex, z: RayArgument) -> complex:
     if z.magnitude <= 0.0:
         raise DomainError("whittaker_w needs magnitude > 0 (use the small-t limit path)")
     return _as_finite_complex(_whittaker_mp(idx.kappa, idx.mu, z.magnitude, z.ray))
-
-
-def whittaker_asymptotic(idx: WhittakerIndex, z: RayArgument) -> complex:
-    """Leading-order large-argument form e^{-z/2} z^kappa, branch per ray."""
-    if z.magnitude < ASYM_MIN_Z:
-        raise DomainError(f"asymptotic form needs magnitude >= {ASYM_MIN_Z}, got {z.magnitude}")
-    mag = z.magnitude
-    log_modulus = (0.5 * mag if z.ray is Ray.ROTATED else -0.5 * mag) + idx.kappa * math.log(mag)
-    if log_modulus > 709.0:
-        raise OverflowRangeError("asymptotic Whittaker value exceeds double range")
-    modulus = math.exp(log_modulus)
-    if z.ray is Ray.ROTATED:
-        phase = math.pi * idx.kappa
-        return complex(modulus * math.cos(phase), modulus * math.sin(phase))
-    return complex(modulus, 0.0)
 
 
 def _erfi_series_mp(x):

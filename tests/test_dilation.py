@@ -7,44 +7,55 @@ import pytest
 
 from ptdilate.dilation import (
     H4Mode,
+    _root,
+    _tau_dot,
     assemble_dilated,
     h4_select,
     hermiticity_defect,
     post_breakdown_tau,
     principal_sqrt,
     tau_derivative,
-    tau_dot_entries,
-    tau_entries,
     tau_from_metric,
 )
 from ptdilate.errors import InvalidMetricError, NearBreakdownError, ValidationError
-from ptdilate.metric import DilationParams, metric
+from ptdilate.metric import DilationParams, MetricState, metric
 from ptdilate.model import HamiltonianParams, hamiltonian
+from ptdilate.solutions import Representation, solution_basis
 
 P = HamiltonianParams(E=1.0, omega=0.5)
 D_REF = DilationParams(3.5, 238.0)
 D_SMALL = DilationParams(3.5, 4.634)
 
 
-def _entries_of(mat):
-    return (
-        float(mat[1, 0].real),
-        float(mat[1, 0].imag),
-        float((mat[0, 0].real - mat[1, 1].real) / 2.0),
-        float((mat[0, 0].real + mat[1, 1].real) / 2.0),
+def _diagonal_state(f, g, f_dot=0.0, g_dot=0.0):
+    """A metric state with eta = diag(f, g), 1 <= f <= g, and eta' = diag(f', g')."""
+    return MetricState(
+        t=0.0,
+        eta=np.diag([f, g]).astype(complex),
+        eta_dot=np.diag([f_dot, g_dot]).astype(complex),
+        lambda_plus=g,
+        lambda_minus=f,
+        l=f + g,
+        delta=f * g,
+        params=P,
+        dparams=DilationParams(1.0, 1.0),
     )
 
 
 class TestTauEntries:
     def test_diagonal_case(self):
-        X, Y, Z, W = _entries_of(np.diag([2.5, 237.0]).astype(complex))
-        a, b, c, d = tau_entries(X, Y, Z, W)
-        assert a == b == 0.0
-        assert d + c == pytest.approx(math.sqrt(2.5), rel=1e-12)
-        assert d - c == pytest.approx(math.sqrt(237.0), rel=1e-12)
+        td = tau_from_metric(_diagonal_state(3.5, 238.0))
+        assert td.a == td.b == 0.0
+        assert td.d + td.c == pytest.approx(math.sqrt(2.5), rel=1e-12)
+        assert td.d - td.c == pytest.approx(math.sqrt(237.0), rel=1e-12)
 
     def test_zero_matrix(self):
-        assert tau_entries(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
+        # D = (1, 1) at t = 0 gives eta = 1 exactly, so tau^2 = 0 and 2d = 0
+        ms = metric(P, DilationParams(1.0, 1.0), 0.0)
+        assert np.array_equal(ms.eta, np.eye(2))
+        td = tau_from_metric(ms)
+        assert (td.a, td.b, td.c, td.d) == (0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(td.tau, np.zeros((2, 2)))
 
 
 class TestTauFromMetric:
@@ -90,18 +101,56 @@ class TestTauDerivative:
 
     def test_synthetic_diagonal(self):
         # eta(t) = diag(f, g) gives tau' = diag(f'/(2 sqrt(f-1)), g'/(2 sqrt(g-1)))
-        f, fdot = 3.7, 0.9
-        g, gdot = 12.0, -2.0
-        entries = (0.0, 0.0, (f - g) / 2.0 - 0.0, (f + g) / 2.0 - 1.0)
-        rates = (0.0, 0.0, (fdot - gdot) / 2.0, (fdot + gdot) / 2.0)
-        ad, bd, cd, dd = tau_dot_entries(entries, rates)
-        assert ad == bd == 0.0
-        assert dd + cd == pytest.approx(fdot / (2.0 * math.sqrt(f - 1.0)), rel=1e-12)
-        assert dd - cd == pytest.approx(gdot / (2.0 * math.sqrt(g - 1.0)), rel=1e-12)
+        f, f_dot = 3.7, 0.9
+        g, g_dot = 12.0, -2.0
+        ms = _diagonal_state(f, g, f_dot, g_dot)
+        tau_dot = _tau_dot(ms, _root(ms))
+        assert tau_dot[0, 1] == tau_dot[1, 0] == 0.0
+        assert tau_dot[0, 0].real == pytest.approx(f_dot / (2.0 * math.sqrt(f - 1.0)), rel=1e-12)
+        assert tau_dot[1, 1].real == pytest.approx(g_dot / (2.0 * math.sqrt(g - 1.0)), rel=1e-12)
 
     def test_near_breakdown_guard(self):
         with pytest.raises(NearBreakdownError):
             tau_derivative(P, D_REF, 4.01)
+
+
+class TestGeneralOmega:
+    """On the Whittaker basis away from w = 1/2, Re eta_10 is far from zero,
+    so every entry of eta - 1 enters tau and tau'."""
+
+    @pytest.fixture(params=[0.37, 1.3])
+    def case(self, request):
+        p = HamiltonianParams(E=1.0, omega=request.param)
+        return p, solution_basis(p, Representation.WHITTAKER_GENERAL)
+
+    @pytest.mark.parametrize("t", [0.3, 1.5])
+    def test_tau_is_the_principal_root(self, case, t):
+        p, basis = case
+        ms = metric(p, D_REF, t, basis)
+        target = ms.eta - np.eye(2)
+        assert abs(target[1, 0].real) > 1.0
+        tau = tau_from_metric(ms).tau
+        scale = np.abs(target).max()
+        assert np.abs(tau @ tau - target).max() <= 1e-12 * scale
+        np.testing.assert_allclose(tau, principal_sqrt(target), rtol=0, atol=1e-12 * math.sqrt(scale))
+
+    @pytest.mark.parametrize("t", [0.3, 1.5])
+    def test_derivative_matches_finite_difference(self, case, t):
+        p, basis = case
+        h = 1e-6
+        fd = (
+            tau_from_metric(metric(p, D_REF, t + h, basis)).tau
+            - tau_from_metric(metric(p, D_REF, t - h, basis)).tau
+        ) / (2.0 * h)
+        tau_dot = tau_derivative(p, D_REF, t, basis)
+        assert np.abs(tau_dot - fd).max() <= 1e-7 * np.abs(tau_dot).max()
+
+    @pytest.mark.parametrize("mode", [H4Mode.HERMITIAN_PART, H4Mode.MIRROR])
+    def test_hh_hermitian(self, case, mode):
+        p, basis = case
+        for t in (0.3, 1.5):
+            hh = assemble_dilated(p, D_REF, t, mode, basis).hh
+            assert np.abs(hh - hh.conj().T).max() <= 1e-9 * np.abs(hh).max()
 
 
 class TestH4Select:
@@ -207,6 +256,25 @@ class TestHermiticityDefect:
     def test_defect_switches_on_at_breakdown(self, d, t_before, t_after):
         assert hermiticity_defect(P, d, t_before) < 1e-9
         assert hermiticity_defect(P, d, t_after) > 1e-6
+
+    def test_defect_uses_the_given_basis(self):
+        # on the Whittaker basis at w = 1/2 this D breaks down before t = 3.95;
+        # tau' must be differenced on the same basis as tau
+        basis = solution_basis(P, Representation.WHITTAKER_GENERAL)
+        t, h = 3.95, 1e-6 * 3.95
+        eye = np.eye(2)
+        tau = principal_sqrt(metric(P, D_REF, t, basis).eta - eye)
+        tau_dot = (
+            principal_sqrt(metric(P, D_REF, t + h, basis).eta - eye)
+            - principal_sqrt(metric(P, D_REF, t - h, basis).eta - eye)
+        ) / (2.0 * h)
+        H = hamiltonian(P, t)
+        H_h, tau_h = H.conj().T, tau.conj().T
+        h4 = 0.5 * (H + H_h)
+        # h1 = H - h2 tau with h2 = -i tau'^dag + H^dag tau^dag - tau^dag h4
+        h1 = H + 1j * tau_dot.conj().T @ tau - H_h @ tau_h @ tau + tau_h @ h4 @ tau
+        expected = np.abs(h1 - h1.conj().T).max()
+        assert hermiticity_defect(P, D_REF, t, basis=basis) == pytest.approx(expected, rel=1e-9)
 
     def test_mode_does_not_matter_for_defect(self):
         a = hermiticity_defect(P, D_REF, 2.5, H4Mode.HERMITIAN_PART)

@@ -88,14 +88,6 @@ class TestMetricState:
             w = np.linalg.eigvalsh(ms.eta)
             assert (w > 0).all()
 
-    def test_entries_match_eta(self):
-        ms = metric(P, D_REF, 1.7)
-        delta_eta = ms.eta - np.eye(2)
-        assert ms.W + ms.Z == pytest.approx(delta_eta[0, 0].real, rel=1e-12)
-        assert ms.W - ms.Z == pytest.approx(delta_eta[1, 1].real, rel=1e-12)
-        assert ms.X == pytest.approx(delta_eta[1, 0].real, rel=1e-12)
-        assert ms.Y == pytest.approx(delta_eta[1, 0].imag, rel=1e-12)
-
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.0, 3.0, 4.0, 5.0])
     def test_eigenvalue_identities(self, t):
         ms = metric(P, D_REF, t)
@@ -196,12 +188,22 @@ class TestRefinedBound:
         assert abs(value - 237.80) <= 0.01 * 237.80
 
     def test_guard_triggers_iff_d0_too_small(self):
-        n1_21 = float(np.vdot(solution_basis(P).y1(2.1), solution_basis(P).y1(2.1)).real)
+        basis = solution_basis(P)
+        n1 = [float(np.vdot(basis.y1(t), basis.y1(t)).real) for t in np.linspace(0.0, 2.1, 2101)]
+        n1_21, n1_max = n1[-1], max(n1)
+        assert n1_max > n1_21 + 0.01
         with pytest.raises(DegenerateDenominatorError):
             refined_d1_bound(P, 0.5, 2.1)
         with pytest.raises(DegenerateDenominatorError):
             refined_d1_bound(P, n1_21 - 0.01, 2.1)
-        assert refined_d1_bound(P, n1_21 + 0.01, 2.1) > 0.0
+        # |D0|^2 Delta above ||y1(t0)||^2 but not above ||y1||^2 everywhere on
+        # [0, t0]: no |D1|^2 keeps lam_minus >= 1 there
+        with pytest.raises(DegenerateDenominatorError):
+            refined_d1_bound(P, n1_21 + 0.01, 2.1)
+        d0_sq = n1_max + 0.01
+        d1_sq = refined_d1_bound(P, d0_sq, 2.1)
+        lam_m = eigenvalues(P, DilationParams(d0_sq, d1_sq), np.linspace(0.0, 2.1, 2101))[1]
+        assert lam_m.min() >= 1.0 - 1e-9
 
 
 # the Whittaker basis, where Delta = 4 w^2, also at w = 1/2
@@ -339,7 +341,7 @@ class TestArrayAgreement:
     def test_shapes(self):
         ms = metric(P, D_REF, np.linspace(0.0, 3.0, 7))
         assert ms.eta.shape == ms.eta_dot.shape == (2, 2, 7)
-        assert ms.lambda_minus.shape == ms.X.shape == ms.t.shape == (7,)
+        assert ms.lambda_minus.shape == ms.l.shape == ms.t.shape == (7,)
         scalar = metric(P, D_REF, 1.5)
         assert scalar.eta.shape == (2, 2) and np.ndim(scalar.lambda_minus) == 0
         with pytest.raises(ValidationError):

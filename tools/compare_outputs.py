@@ -53,6 +53,9 @@ INVOCATIONS = [
     ("breakdown_general", ["breakdown", "--tmax", "1.5"], {"omega": 1.3, "d1_sq": 2.0}),
     ("dilate_hermitian_part", ["dilate"], {"t_end": 3.9, "grid_step": 0.01}),
     ("dilate_mirror", ["dilate", "--h4-mode", "mirror"], {"t_end": 3.9, "grid_step": 0.01}),
+    # general omega: Re eta_10 != 0, so every entry of eta - 1 enters tau;
+    # t_start past the frozen small-t Whittaker amplitude (t <= 1e-3)
+    ("dilate_general", ["dilate"], {"omega": 0.37, "t_start": 0.05, "t_end": 2.0, "grid_step": 0.01}),
 ]
 
 
@@ -125,6 +128,8 @@ def _compare(rows_a: list[list[str]], rows_b: list[list[str]]) -> str:
             x, y = _number(a), _number(b)
             if x is None or y is None:
                 other += 1
+                continue
+            if x == y:   # the same number spelled differently, 0.0 and -0.0 say
                 continue
             rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
             col = max(col, abs(x - y) / scale[j])
