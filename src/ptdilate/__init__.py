@@ -8,12 +8,8 @@ co-simulation of both systems.
 from .dilation import (
     DilatedHamiltonian,
     H4Mode,
-    TauDecomp,
     assemble_dilated,
-    h4_select,
     hermiticity_defect,
-    post_breakdown_tau,
-    principal_sqrt,
     tau_derivative,
     tau_from_metric,
 )
@@ -71,7 +67,6 @@ from .solutions import (
     wronskian,
     x_basis_closed_half,
     x_basis_whittaker,
-    y_basis,
 )
 from .specfun import (
     Ray,

@@ -52,7 +52,7 @@ def _round12(x: float) -> float:
 
 
 _FLOAT_KEYS = ("E", "omega", "d0_sq", "d1_sq", "t_start", "t_end", "grid_step")
-MAX_GRID_POINTS = 10**6     # largest (t_end - t_start) / grid_step a scenario may ask for
+MAX_GRID_POINTS = 10**6     # largest (t_end - t_start) / grid_step, or / max_step, a scenario may ask for
 
 
 def _as_float(key: str, value) -> float:
@@ -86,6 +86,11 @@ class Scenario:
         if not self.grid_step >= (self.t_end - self.t_start) / MAX_GRID_POINTS:
             raise ValidationError(
                 f"grid_step must be positive with at most {MAX_GRID_POINTS} steps, got {self.grid_step}"
+            )
+        # the integrator takes at least (t_end - t_start) / max_step steps
+        if not self.tolerances.max_step >= (self.t_end - self.t_start) / MAX_GRID_POINTS:
+            raise ValidationError(
+                f"tolerances.max_step must allow at most {MAX_GRID_POINTS} steps, got {self.tolerances.max_step}"
             )
         if self.d0_sq < 0.0 or self.d1_sq < 0.0:
             raise ValidationError("d0_sq and d1_sq must be >= 0")
@@ -246,7 +251,9 @@ def cmd_dilate(scn: Scenario, out: Path) -> None:
     rows = []
     for t in scn.grid():
         dh = assemble_dilated(p, d, float(t), scn.mode, basis)
-        row = [t, dh.tau.a, dh.tau.b, dh.tau.c, dh.tau.d]
+        tau = dh.tau   # [[d + c, a - i b], [a + i b, d - c]]
+        t00, t11 = tau[0, 0].real, tau[1, 1].real
+        row = [t, tau[1, 0].real, tau[1, 0].imag, (t00 - t11) / 2.0, (t00 + t11) / 2.0]
         for i in range(4):
             for j in range(4):
                 row += [dh.hh[i, j].real, dh.hh[i, j].imag]

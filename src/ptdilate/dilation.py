@@ -1,22 +1,30 @@
 """Ancilla coupling tau = sqrt(eta - 1) and the 4x4 dilated Hamiltonian.
 
-While lam_minus >= 1, A = eta - 1 is positive semidefinite and its
-Hermitian square root is one identity (Cayley-Hamilton for 2x2 matrices,
-Higham, Functions of Matrices, SIAM 2008),
+tau is the principal square root of A = eta - 1, from one identity for
+2x2 matrices (Cayley-Hamilton; Higham, Functions of Matrices, SIAM 2008).
+With r_pm = sqrt(lam_pm - 1), the principal complex roots of A's
+eigenvalues,
 
-    tau = (A + s 1) / (2d),  s = sqrt(det A),  2d = sqrt(tr A + 2 s),
+    tau = (A + s 1) / (2d),  s = r_+ r_-,  2d = r_+ + r_-.
 
-with s taken as sqrt((lam_plus - 1)(lam_minus - 1)), stable where det A
-cancels.  Differentiating tau (2d) = A + s 1 gives
+While lam_minus >= 1 both roots are real and tau is the Hermitian root.
+Past breakdown r_- is imaginary (and r_+ too once lam_plus < 1), and the
+same formula gives the principal root, normal but no longer Hermitian.  s
+is the product of the roots, not the root of det A = (lam_+ - 1)(lam_- - 1):
+that root takes the wrong sign when both eigenvalues of A are negative.
+Differentiating tau (2d) = A + s 1, with s^2 = det A and (2d)^2 = tr A + 2 s,
+gives
 
     tau' = (eta' + s' 1 - tau (2d)') / (2d),
-    s' = (tr A tr eta' - tr(A eta')) / (2 s),  (2d)' = (tr eta' + 2 s') / (2 (2d)).
+    s' = (tr A tr eta' - tr(A eta')) / (2 s),  (2d)' = (tr eta' + 2 s') / (2 (2d)),
+
+everywhere but at lam_minus = 1, where tau is not differentiable.
 
 The dilated generator is assembled from the two exact block conditions
 h1 + h2 tau = H and h2^dag + h4 tau = i tau' + tau H; h4 is a gauge choice
 (Hermitian part of H, or the mirror choice h4 = [H + (i tau' + tau H) tau]
-eta^-1, which equals H + h2^dag tau).  Past breakdown the principal square
-root is no longer Hermitian and h1 picks up a nonzero Hermiticity defect.
+eta^-1, which equals H + h2^dag tau).  Past breakdown h1 picks up a nonzero
+Hermiticity defect.
 """
 
 from __future__ import annotations
@@ -27,37 +35,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidMetricError, NearBreakdownError, ValidationError
+from .errors import InvalidMetricError, NearBreakdownError
 from .metric import VALIDITY_TOL, DilationParams, MetricState, metric
 from .model import HamiltonianParams, hamiltonian
 from .solutions import SolutionBasis
 
 __all__ = [
-    "TauDecomp",
     "H4Mode",
     "DilatedHamiltonian",
     "tau_from_metric",
     "tau_derivative",
-    "h4_select",
     "assemble_dilated",
-    "principal_sqrt",
-    "post_breakdown_tau",
     "hermiticity_defect",
 ]
 
-TAU_DOT_GUARD = 1e-9        # lam_minus - 1 below this makes tau' unreliable
+TAU_DOT_GUARD = 1e-9        # |lam_minus - 1| below this makes tau' unreliable
 H4_HERMITICITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TauDecomp:
-    """Hermitian tau = [[d + c, a - i b], [a + i b, d - c]] with its reals."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    tau: np.ndarray
 
 
 class H4Mode(Enum):
@@ -74,18 +67,23 @@ class DilatedHamiltonian:
     h2: np.ndarray
     h4: np.ndarray
     hh: np.ndarray
-    h4_mode: H4Mode
     h4_residual: float
-    tau: TauDecomp
+    tau: np.ndarray
 
 
 def _root(ms: MetricState):
     """(eye, A, s, 2d, tau) of the square-root identity, for a state at one
-    time or over n times (then eye broadcasts and tau has shape (2, 2, n))."""
+    time or over n times (then eye broadcasts and tau has shape (2, 2, n)).
+
+    s = r_+ r_- and 2d = r_+ + r_- are the product and sum of the principal
+    roots r_pm = sqrt(lam_pm - 1 + 0j): complex, and real while
+    lam_minus >= 1.  Taking the product of the roots, not the root of
+    their product, keeps tau the principal root when lam_plus < 1 as well.
+    """
     eye = np.eye(2)[(...,) + (None,) * np.ndim(ms.t)]
     A = ms.eta - eye
-    s = np.sqrt(np.maximum((ms.lambda_plus - 1.0) * (ms.lambda_minus - 1.0), 0.0))
-    two_d = np.sqrt(np.maximum(A[0, 0].real + A[1, 1].real + 2.0 * s, 0.0))
+    r_plus, r_minus = np.sqrt(ms.lambda_plus - 1.0 + 0j), np.sqrt(ms.lambda_minus - 1.0 + 0j)
+    s, two_d = r_plus * r_minus, r_plus + r_minus
     # 2d = 0 only for A = 0, where any divisor will do
     tau = (A + s * eye) / (two_d + (two_d == 0.0))
     return eye, A, s, two_d, tau
@@ -99,22 +97,15 @@ def _require_valid(ms: MetricState) -> None:
         raise InvalidMetricError(f"lambda_minus = {lam_m} < 1 at t = {t}; no Hermitian root")
 
 
-def _decomp(tau: np.ndarray) -> TauDecomp:
-    diag_sum, diag_diff = tau[0, 0].real + tau[1, 1].real, tau[0, 0].real - tau[1, 1].real
-    return TauDecomp(tau[1, 0].real, tau[1, 0].imag, diag_diff / 2.0, diag_sum / 2.0, tau)
-
-
-def tau_from_metric(ms: MetricState) -> TauDecomp:
+def tau_from_metric(ms: MetricState) -> np.ndarray:
     """Hermitian square root of eta - 1; requires lam_minus >= 1.  For a
-    state over n times, a, b, c, d are arrays and tau has shape (2, 2, n)."""
+    state over n times it has shape (2, 2, n)."""
     _require_valid(ms)
-    return _decomp(_root(ms)[-1])
+    return _root(ms)[-1]
 
 
 def _tau_dot(ms: MetricState, root) -> np.ndarray:
-    # the guard comes first, so tau_derivative raises NearBreakdownError on
-    # both sides of the breakdown point
-    if ms.lambda_minus - 1.0 < TAU_DOT_GUARD:
+    if abs(ms.lambda_minus - 1.0) < TAU_DOT_GUARD:
         raise NearBreakdownError(
             f"lambda_minus - 1 = {ms.lambda_minus - 1.0:.3e} at t = {ms.t}; "
             "the square root is not differentiable at the breakdown point"
@@ -135,7 +126,7 @@ def tau_derivative(
     basis: SolutionBasis | None = None,
 ) -> np.ndarray:
     """d tau / dt from the derivative of tau (2d) = A + s 1 and the
-    analytic eta'."""
+    analytic eta', on either side of breakdown."""
     ms = metric(p, d, t, basis)
     return _tau_dot(ms, _root(ms))
 
@@ -153,20 +144,6 @@ def _h4_from_pieces(mode, H, eta, tau, tau_dot):
     return h4, residual
 
 
-def h4_select(
-    mode: H4Mode,
-    p: HamiltonianParams,
-    d: DilationParams,
-    t: float,
-    basis: SolutionBasis | None = None,
-) -> tuple[np.ndarray, float]:
-    """Ancilla block for the chosen gauge, with its Hermiticity residual."""
-    if mode is H4Mode.HERMITIAN_PART:
-        return _h4_from_pieces(mode, hamiltonian(p, t), None, None, None)
-    dh = assemble_dilated(p, d, t, mode, basis)
-    return dh.h4, dh.h4_residual
-
-
 def _blocks(H, tau, tau_dot, h4):
     """h2^dag = i tau' + tau H - h4 tau and h1 = H - h2 tau, straight from
     the two block conditions; no adjoint of tau enters, so the same blocks
@@ -180,16 +157,13 @@ def _blocks(H, tau, tau_dot, h4):
 
 
 def _assemble(ms: MetricState, mode: H4Mode) -> DilatedHamiltonian:
-    _require_valid(ms)
     root = _root(ms)
-    td = _decomp(root[-1])
+    tau = root[-1]
     tau_dot = _tau_dot(ms, root)
     H = hamiltonian(ms.params, ms.t)
-    h4, h4_residual = _h4_from_pieces(mode, H, ms.eta, td.tau, tau_dot)
-    h1, h2, hh = _blocks(H, td.tau, tau_dot, h4)
-    return DilatedHamiltonian(
-        h1=h1, h2=h2, h4=h4, hh=hh, h4_mode=mode, h4_residual=h4_residual, tau=td
-    )
+    h4, h4_residual = _h4_from_pieces(mode, H, ms.eta, tau, tau_dot)
+    h1, h2, hh = _blocks(H, tau, tau_dot, h4)
+    return DilatedHamiltonian(h1=h1, h2=h2, h4=h4, hh=hh, h4_residual=h4_residual, tau=tau)
 
 
 def assemble_dilated(
@@ -200,57 +174,19 @@ def assemble_dilated(
     basis: SolutionBasis | None = None,
 ) -> DilatedHamiltonian:
     """4x4 generator of the embedded evolution at time t (valid metric)."""
-    return _assemble(metric(p, d, t, basis), mode)
-
-
-def principal_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian 2x2, indefinite allowed.
-
-    Negative eigenvalues map to +i sqrt(|.|), so the result is normal but
-    not Hermitian once the matrix is indefinite.
-    """
-    w, V = np.linalg.eigh(matrix)
-    roots = np.sqrt(w.astype(complex))
-    return (V * roots) @ V.conj().T
-
-
-def post_breakdown_tau(
-    ms: MetricState, basis: SolutionBasis | None = None
-) -> tuple[np.ndarray, float]:
-    """Principal root of eta - 1 past breakdown plus the h1 defect it causes.
-
-    The defect is ||h1 - h1^dag||_max with h4 fixed to the Hermitian part
-    of H (the defect does not depend on any Hermitian h4 choice); tau' is
-    a central finite difference of the principal root, on `basis`, which
-    must be the basis `ms` was computed on.
-    """
-    if ms.lambda_minus >= 1.0 - VALIDITY_TOL:
-        raise ValidationError(
-            f"lambda_minus = {ms.lambda_minus} >= 1 at t = {ms.t}; use tau_from_metric"
-        )
-    eye = np.eye(2)
-    tau = principal_sqrt(ms.eta - eye)
-    h = 1e-6 * max(1.0, abs(ms.t))
-    tau_plus = principal_sqrt(metric(ms.params, ms.dparams, ms.t + h, basis).eta - eye)
-    tau_minus = principal_sqrt(metric(ms.params, ms.dparams, ms.t - h, basis).eta - eye)
-    tau_dot = (tau_plus - tau_minus) / (2.0 * h)
-    H = hamiltonian(ms.params, ms.t)
-    h4 = 0.5 * (H + H.conj().T)
-    h1, _, _ = _blocks(H, tau, tau_dot, h4)
-    defect = float(np.abs(h1 - h1.conj().T).max())
-    return tau, defect
+    ms = metric(p, d, t, basis)
+    _require_valid(ms)
+    return _assemble(ms, mode)
 
 
 def hermiticity_defect(
     p: HamiltonianParams,
     d: DilationParams,
     t: float,
-    mode: H4Mode = H4Mode.HERMITIAN_PART,
     basis: SolutionBasis | None = None,
 ) -> float:
-    """||h1 - h1^dag||_max at time t, on either side of breakdown."""
-    ms = metric(p, d, t, basis)
-    if ms.lambda_minus < 1.0 - VALIDITY_TOL:
-        return post_breakdown_tau(ms, basis)[1]
-    h1 = _assemble(ms, mode).h1
+    """||h1 - h1^dag||_max at time t, on either side of breakdown.  The h4
+    terms cancel in h1 - h1^dag for every Hermitian h4, so the Hermitian
+    part of H serves."""
+    h1 = _assemble(metric(p, d, t, basis), H4Mode.HERMITIAN_PART).h1
     return float(np.abs(h1 - h1.conj().T).max())

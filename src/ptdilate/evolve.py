@@ -167,7 +167,7 @@ def simulate_dilated(
             f"dilation breaks down at t = {t_break:.6f}, inside the span {span}",
             breakdown_time=t_break,
         )
-    tau0 = tau_from_metric(metric(p, d, float(span[0]), basis)).tau
+    tau0 = tau_from_metric(metric(p, d, float(span[0]), basis))
     big_psi0 = np.concatenate([psi0, tau0 @ psi0])
 
     def generator(t):
@@ -178,7 +178,7 @@ def simulate_dilated(
     psi_ref = _analytic_path(basis, psi0, float(span[0]))(traj.times)
     upper, lower = traj.states[:, :2].T, traj.states[:, 2:].T
     ms = metric(p, d, traj.times, basis)
-    tau_t = tau_from_metric(ms).tau
+    tau_t = tau_from_metric(ms)
     ref_norm = np.linalg.norm(psi_ref, axis=0)
     up_norm = np.linalg.norm(upper, axis=0)
     traj.fidelity = _abs2((psi_ref.conj() * upper).sum(axis=0)) / (ref_norm**2 * up_norm**2)

@@ -92,11 +92,6 @@ def _abs2(v):
     return v.real * v.real + v.imag * v.imag
 
 
-def _duals(basis, t):
-    """y0 = sigma_x x1, y1 = sigma_x x0 at a 1-D t, shape (2 vectors, 2, n)."""
-    return np.array(basis.x_pair(t))[::-1, ::-1]
-
-
 def _scalars_double(d, y, delta):
     """Scalars from stacked dual pairs and the constant Gram determinant,
     in doubles.  An infinite l gives lam_p = inf and lam_m = 0."""
@@ -134,12 +129,12 @@ def _scalars_mp(basis, d, t, z):
 
 def _scalars(d, t, basis, y=None):
     """(n0, n1, l, lam_p, lam_m), each shaped like t; y, if given, is
-    _duals(basis, t) for a 1-D t.  Raises where l leaves double range."""
+    basis.y_pair(t) for a 1-D t.  Raises where l leaves double range."""
     ts, shaped = _on_time_axis(t)
     if abs(ts).max() > basis.horizon:
         t_bad = ts[abs(ts) > basis.horizon][0]
         raise OverflowRangeError(f"t = {t_bad} beyond the numeric horizon {basis.horizon:.3f} of this basis")
-    out = _scalars_double(d, _duals(basis, ts) if y is None else y, basis.gram_det)
+    out = _scalars_double(d, basis.y_pair(ts) if y is None else y, basis.gram_det)
     if not math.isfinite(out[2].max()):   # l >= 0, so only inf or NaN can fail
         t_bad = ts[~np.isfinite(out[2])][0]
         raise OverflowRangeError(f"metric scalars exceed double range at t = {t_bad}")
@@ -159,7 +154,7 @@ def metric(
     """
     basis = basis or solution_basis(p)
     ts, shaped = _on_time_axis(t)
-    y = _duals(basis, ts)
+    y = basis.y_pair(ts)
     w = np.array([d.d0_sq, d.d1_sq])[:, None, None, None]
     eta = (w * y[:, :, None] * y.conj()[:, None]).sum(axis=0)
     # eta_dot = m + m^dag, m = sum_k |D_k|^2 |y_k'><y_k| = -i H^dag eta
@@ -210,7 +205,7 @@ def eta_evolution_residual(
     return float(np.abs(residual).max())
 
 
-def validity(d: DilationParams, ms: MetricState) -> bool:
+def validity(ms: MetricState) -> bool:
     """True while the smaller metric eigenvalue stays at or above one."""
     return bool(ms.lambda_minus >= 1.0 - VALIDITY_TOL)
 
@@ -318,7 +313,7 @@ def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
         )
 
     def drop(ts):   # lam_minus - 1
-        return _scalars_double(d, _duals(basis, ts), basis.gram_det)[4] - 1.0
+        return _scalars_double(d, basis.y_pair(ts), basis.gram_det)[4] - 1.0
 
     ts = _grid(t_lo, t_hi)
     f = drop(ts)

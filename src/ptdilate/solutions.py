@@ -48,7 +48,6 @@ __all__ = [
     "model_kappas",
     "x_basis_whittaker",
     "x_basis_closed_half",
-    "y_basis",
     "wronskian",
     "ode_residual",
 ]
@@ -200,10 +199,10 @@ class SolutionBasis:
             return x_basis_closed_half(self.params.E, t)
         return x_basis_whittaker(self.params, t)
 
-    def y_pair(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Dual pair y0 = sigma_x x1, y1 = sigma_x x0, shaped like x_pair."""
-        x0, x1 = self.x_pair(t)
-        return x1[::-1].copy(), x0[::-1].copy()
+    def y_pair(self, t) -> np.ndarray:
+        """Dual pair y0 = sigma_x x1, y1 = sigma_x x0 stacked, shape (2, 2)
+        or (2, 2, n): a reversed view of the stacked x_pair."""
+        return np.array(self.x_pair(t))[::-1, ::-1]
 
     def x0(self, t: float) -> np.ndarray:
         return self.x_pair(t)[0]
@@ -242,11 +241,6 @@ def solution_basis(p: HamiltonianParams, representation: Representation | None =
             Representation.CLOSED_FORM_HALF if p.omega == 0.5 else Representation.WHITTAKER_GENERAL
         )
     return SolutionBasis(p, representation)
-
-
-def y_basis(p: HamiltonianParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dual basis pair in the canonical representation for these params."""
-    return solution_basis(p).y_pair(t)
 
 
 def wronskian(basis: SolutionBasis, t: float) -> complex:

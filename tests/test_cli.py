@@ -80,6 +80,18 @@ class TestScenario:
         with pytest.raises(ValidationError, match=str(MAX_GRID_POINTS)):
             Scenario(grid_step=1e-12).validate()
 
+    def test_max_step_cap_exit_2(self, tmp_path):
+        # max_step = 1e-7 on [0, 0.5] would ask DOP853 for 5e6 steps; refused
+        # before integrating, like a grid_step with too many points
+        path = _write_scenario(tmp_path / "s.json", t_end=0.5, grid_step=0.1, tolerances={"max_step": 1e-7})
+        with pytest.raises(ValidationError, match=str(MAX_GRID_POINTS)):
+            Scenario.from_file(path)
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "simulate.csv").exists()
+        # the bound itself still passes
+        path = _write_scenario(tmp_path / "s.json", t_end=0.5, tolerances={"max_step": 0.5 / MAX_GRID_POINTS})
+        assert Scenario.from_file(path).tolerances.max_step == 5e-7
+
     def test_unreadable_file_exit_2(self, tmp_path):
         bad = tmp_path / "s.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -311,8 +323,11 @@ class TestReusedDiagnostics:
         assert len(rows) == self.GRID.size
         for row, t in zip(rows, self.GRID):
             assert row[0] == f"{t:.11e}"
-            td = tau_from_metric(metric(p, d, float(t)))
-            assert [row[c] for c in cols] == [f"{x:.11e}" for x in (td.a, td.b, td.c, td.d)]
+            # tau = [[d + c, a - i b], [a + i b, d - c]]
+            tau = tau_from_metric(metric(p, d, float(t)))
+            c, d_ = (tau[0, 0] - tau[1, 1]).real / 2.0, (tau[0, 0] + tau[1, 1]).real / 2.0
+            expected = (tau[1, 0].real, tau[1, 0].imag, c, d_)
+            assert [row[c] for c in cols] == [f"{x:.11e}" for x in expected]
 
 
 # values of the wrong type, non-finite or non-positive; the numbers that

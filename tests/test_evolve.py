@@ -14,7 +14,7 @@ from ptdilate.evolve import (
 )
 from ptdilate.metric import DilationParams, metric
 from ptdilate.model import HamiltonianParams, hamiltonian
-from ptdilate.solutions import Representation, solution_basis, x_basis_closed_half, y_basis
+from ptdilate.solutions import Representation, solution_basis, x_basis_closed_half
 
 P = HamiltonianParams(E=1.0, omega=0.5)
 D_REF = DilationParams(3.5, 238.0)
@@ -41,7 +41,7 @@ class TestIntegrateLinear:
         gen = lambda t: hamiltonian(P, t).conj().T
         traj = integrate_linear(gen, np.array([1.0, 0.0]), (0.0, 3.0), cfg)
         for t, state in zip(traj.times, traj.states):
-            ref = y_basis(P, float(t))[0]
+            ref = solution_basis(P).y_pair(float(t))[0]
             assert np.abs(state - ref).max() < 1e-8
 
     def test_config_validation(self):

@@ -124,17 +124,17 @@ class TestEvolutionLaw:
 
 class TestValidity:
     def test_true_inside_window(self):
-        assert validity(D_REF, metric(P, D_REF, 1.0)) is True
+        assert validity(metric(P, D_REF, 1.0)) is True
 
     def test_false_past_breakdown(self):
-        assert validity(D_REF, metric(P, D_REF, 4.2)) is False
+        assert validity(metric(P, D_REF, 4.2)) is False
 
     def test_threshold(self):
         ms = metric(P, D_REF, 1.0)
         ms.lambda_minus = 0.999
-        assert validity(D_REF, ms) is False
+        assert validity(ms) is False
         ms.lambda_minus = 1.0 - 1e-13
-        assert validity(D_REF, ms) is True
+        assert validity(ms) is True
 
 
 class TestEqualDBound:

@@ -19,7 +19,6 @@ from ptdilate.solutions import (
     wronskian,
     x_basis_closed_half,
     x_basis_whittaker,
-    y_basis,
 )
 
 P_HALF = HamiltonianParams(E=1.0, omega=0.5)
@@ -128,21 +127,21 @@ class TestWhittakerBasis:
 
 class TestDualBasis:
     def test_labels_at_origin(self):
-        y0, y1 = y_basis(P_HALF, 0.0)
+        y0, y1 = solution_basis(P_HALF).y_pair(0.0)
         np.testing.assert_allclose(y0, [1.0, 0.0], atol=0)
         np.testing.assert_allclose(y1, [0.0, 1.0], atol=0)
 
     def test_y0_norm_growth(self):
-        y0_21, _ = y_basis(P_HALF, 2.1)
+        y0_21, _ = solution_basis(P_HALF).y_pair(2.1)
         assert np.vdot(y0_21, y0_21).real == pytest.approx(4.129, rel=5e-3)
         assert np.vdot(y0_21, y0_21).real == pytest.approx(Y0_NORM_SQ_2P1, rel=1e-12)
-        y0_4, _ = y_basis(P_HALF, 4.0)
+        y0_4, _ = solution_basis(P_HALF).y_pair(4.0)
         assert np.vdot(y0_4, y0_4).real == pytest.approx(237.80, rel=1e-3)
         assert np.vdot(y0_4, y0_4).real == pytest.approx(Y0_NORM_SQ_4, rel=1e-12)
 
     def test_duals_satisfy_dual_equation(self):
         for idx, t in [(0, 2.0), (1, 1.1)]:
-            res = ode_residual(P_HALF, lambda s: y_basis(P_HALF, s)[idx], t, dual=True)
+            res = ode_residual(P_HALF, lambda s: solution_basis(P_HALF).y_pair(s)[idx], t, dual=True)
             assert res < 1e-8
 
     @pytest.mark.parametrize("p, rep", [

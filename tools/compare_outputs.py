@@ -12,7 +12,10 @@ version on the same inputs.
 `diff` prints, per file present in either directory: whether the bytes are
 identical, how many CSV or JSON cells differ, and the largest relative
 difference among the numeric cells that differ, also scaled by the largest
-magnitude in the cell's column.
+magnitude in the cell's column, each with the column it comes from.  A JSON
+file is one row with a column per leaf.  Columns whose largest magnitude is
+at most 1e-9 hold rounding residuals; they are reported apart, by their
+largest absolute difference, so they do not swamp the scaled figure.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDING_LEVEL = 1e-9   # a column whose largest magnitude is at most this holds rounding residuals
 
 
 def _seeded_state(seed: int) -> list[float]:
@@ -77,27 +81,28 @@ def run(out: Path, src: Path) -> None:
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
 
 
-def _table(path: Path) -> list[list[str]]:
-    """CSV rows; a JSON file's leaves (keys included) as one column."""
+def _table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """(header, rows) of a CSV file; a JSON file is one row of its leaves,
+    each headed by its key path."""
     if path.suffix == ".csv":
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
-    leaves: list[str] = []
+            rows = list(csv.reader(fh))
+        return rows[0], rows[1:]
+    leaves: dict[str, str] = {}
 
-    def walk(value):
+    def walk(value, key):
         if isinstance(value, dict):
-            for key in sorted(value):
-                leaves.append(key)
-                walk(value[key])
+            for k in sorted(value):
+                walk(value[k], f"{key}.{k}" if key else k)
         elif isinstance(value, list):
-            leaves.append(f"[{len(value)}]")
-            for item in value:
-                walk(item)
+            leaves[f"{key}[]"] = str(len(value))
+            for i, item in enumerate(value):
+                walk(item, f"{key}[{i}]")
         else:
-            leaves.append(json.dumps(value))
+            leaves[key] = json.dumps(value)
 
-    walk(json.loads(path.read_text(encoding="utf-8")))
-    return [[leaf] for leaf in leaves]
+    walk(json.loads(path.read_text(encoding="utf-8")), "")
+    return list(leaves), [list(leaves.values())]
 
 
 def _number(cell: str) -> float | None:
@@ -107,11 +112,13 @@ def _number(cell: str) -> float | None:
         return None
 
 
-def _compare(rows_a: list[list[str]], rows_b: list[list[str]]) -> str:
-    """Differing cells, their largest relative difference, and the largest
-    difference scaled by its column's largest magnitude (the meaningful
-    measure for columns that hold rounding residuals)."""
-    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+def _compare(table_a, table_b) -> str:
+    """Differing cells; the largest relative difference and the largest
+    difference scaled by its column's largest magnitude, each with its
+    column; and apart from those, the largest absolute difference in the
+    columns that hold only rounding residuals."""
+    (header, rows_a), (header_b, rows_b) = table_a, table_b
+    if header != header_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return "differs in shape"
     scale: dict[int, float] = {}
     for row in rows_a + rows_b:
@@ -119,7 +126,8 @@ def _compare(rows_a: list[list[str]], rows_b: list[list[str]]) -> str:
             x = _number(cell)
             if x is not None:
                 scale[j] = max(scale.get(j, 0.0), abs(x))
-    changed, other, rel, col = 0, 0, 0.0, 0.0
+    changed, other = 0, 0
+    rel, col, noise = (0.0, None), (0.0, None), (0.0, None)   # (value, column)
     for ra, rb in zip(rows_a, rows_b):
         for j, (a, b) in enumerate(zip(ra, rb)):
             if a == b:
@@ -131,11 +139,19 @@ def _compare(rows_a: list[list[str]], rows_b: list[list[str]]) -> str:
                 continue
             if x == y:   # the same number spelled differently, 0.0 and -0.0 say
                 continue
-            rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
-            col = max(col, abs(x - y) / scale[j])
-    total = sum(len(r) for r in rows_a)
-    text = f"{changed} of {total} cells, max relative {rel:.3e}, max column-scaled {col:.3e}"
-    return text + (f", {other} non-numeric" if other else "")
+            if scale[j] <= ROUNDING_LEVEL:
+                noise = max(noise, (abs(x - y), header[j]), key=lambda v: v[0])
+                continue
+            rel = max(rel, (abs(x - y) / max(abs(x), abs(y)), header[j]), key=lambda v: v[0])
+            col = max(col, (abs(x - y) / scale[j], header[j]), key=lambda v: v[0])
+    parts = [f"{changed} of {sum(len(r) for r in rows_a)} cells"]
+    if col[1] is not None:
+        parts.append(f"max relative {rel[0]:.3e} ({rel[1]}), max column-scaled {col[0]:.3e} ({col[1]})")
+    if noise[1] is not None:
+        parts.append(f"in columns with max <= {ROUNDING_LEVEL:g}: max absolute {noise[0]:.3e} ({noise[1]})")
+    if other:
+        parts.append(f"{other} non-numeric")
+    return ", ".join(parts)
 
 
 def diff(dir_a: Path, dir_b: Path) -> None:
