@@ -20,7 +20,7 @@ import numpy as np
 
 from .dilation import H4Mode, assemble_dilated
 from .errors import DegenerateDenominatorError, PTDilateError, ValidationError
-from .evolve import EvolutionConfig, _analytic_path, _efficiency, _eta_norm, simulate_dilated
+from .evolve import EvolutionConfig, _efficiency, _eta_norm, propagate_analytic, simulate_dilated
 from .metric import (
     VALIDITY_TOL,
     DilationParams,
@@ -92,15 +92,13 @@ class Scenario:
             raise ValidationError(
                 f"tolerances.max_step must allow at most {MAX_GRID_POINTS} steps, got {self.tolerances.max_step}"
             )
-        if self.d0_sq < 0.0 or self.d1_sq < 0.0:
-            raise ValidationError("d0_sq and d1_sq must be >= 0")
         if self.h4_mode not in _H4_MODES:
             raise ValidationError(f"unknown h4_mode {self.h4_mode!r}; use one of {sorted(_H4_MODES)}")
         if len(self.initial_state) != 4 or not all(math.isfinite(v) for v in self.initial_state):
             raise ValidationError(
                 "initial_state must be four finite reals (re_up, im_up, re_down, im_down)"
             )
-        self.params  # validates omega > 0
+        self.params, self.dparams  # validate omega > 0 and d0_sq, d1_sq >= 0
         return self
 
     @classmethod
@@ -166,11 +164,21 @@ def _write_text(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
+def _write_csv(path: Path, columns: dict) -> None:
+    """One line per row of the named, equally long columns, in the dict's order."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _re_im(columns: dict) -> dict:
+    """The re_NAME and im_NAME columns of each complex column NAME."""
+    out = {}
+    for name, values in columns.items():
+        values = np.asarray(values)
+        out[f"re_{name}"], out[f"im_{name}"] = values.real, values.imag
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -178,20 +186,19 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_spectrum(scn: Scenario, out: Path) -> None:
-    p = scn.params
-    rows = []
-    for t in scn.grid():
-        sp = instantaneous_spectrum(p, float(t))
-        rows.append(
-            [t, sp.lam_plus.real, sp.lam_plus.imag, sp.lam_minus.real, sp.lam_minus.imag, sp.phase.value]
-        )
-    _write_csv(out / "spectrum.csv", ["t", "re_lam_plus", "im_lam_plus", "re_lam_minus", "im_lam_minus", "phase"], rows)
+    grid = scn.grid()
+    spectra = [instantaneous_spectrum(scn.params, float(t)) for t in grid]
+    _write_csv(out / "spectrum.csv", {
+        "t": grid,
+        **_re_im({"lam_plus": [sp.lam_plus for sp in spectra], "lam_minus": [sp.lam_minus for sp in spectra]}),
+        "phase": [sp.phase.value for sp in spectra],
+    })
 
 
 def _write_lambda_csv(path: Path, p, d, grid, basis) -> None:
     lam_p, lam_m = eigenvalues(p, d, grid, basis)
     valid = np.where(lam_m >= 1.0 - VALIDITY_TOL, "1", "0")
-    _write_csv(path, ["t", "lambda_minus", "lambda_plus", "valid"], zip(grid, lam_m, lam_p, valid))
+    _write_csv(path, {"t": grid, "lambda_minus": lam_m, "lambda_plus": lam_p, "valid": valid})
 
 
 def cmd_metric_scan(scn: Scenario, out: Path) -> None:
@@ -214,7 +221,7 @@ def cmd_bounds(scn: Scenario, out: Path) -> None:
         "d0_sq": scn.d0_sq,
     }
     try:
-        refined = refined_d1_bound(p, scn.d0_sq, scn.t_end, basis)
+        refined = refined_d1_bound(p, scn.d0_sq, interval, basis)
         payload["refined_d1_bound"] = _round12(refined)
         payload["refined_reason"] = None
         payload["naive_sufficient"] = bool(naive_d1 >= refined - 1e-9)
@@ -225,14 +232,12 @@ def cmd_bounds(scn: Scenario, out: Path) -> None:
     _write_json(out / "bounds.json", payload)
 
 
-def cmd_breakdown(scn: Scenario, out: Path, t_max: float | None = None) -> None:
-    p, d = scn.params, scn.dparams
-    horizon = t_max if t_max is not None else scn.t_end
-    t_break = breakdown_time(p, d, horizon)
+def cmd_breakdown(scn: Scenario, out: Path) -> None:
+    t_break = breakdown_time(scn.params, scn.dparams, scn.t_end)
     _write_json(
         out / "breakdown.json",
         {
-            "t_max": horizon,
+            "t_max": scn.t_end,
             "d0_sq": scn.d0_sq,
             "d1_sq": scn.d1_sq,
             "breakdown_time": None if t_break is None else _round12(t_break),
@@ -243,50 +248,37 @@ def cmd_breakdown(scn: Scenario, out: Path, t_max: float | None = None) -> None:
 def cmd_dilate(scn: Scenario, out: Path) -> None:
     p, d = scn.params, scn.dparams
     basis = solution_basis(p)
-    header = ["t", "a", "b", "c", "d"]
-    for i in range(4):
-        for j in range(4):
-            header += [f"re_hh_{i}{j}", f"im_hh_{i}{j}"]
-    header += ["hh_residual"]
-    rows = []
-    for t in scn.grid():
-        dh = assemble_dilated(p, d, float(t), scn.mode, basis)
-        tau = dh.tau   # [[d + c, a - i b], [a + i b, d - c]]
-        t00, t11 = tau[0, 0].real, tau[1, 1].real
-        row = [t, tau[1, 0].real, tau[1, 0].imag, (t00 - t11) / 2.0, (t00 + t11) / 2.0]
-        for i in range(4):
-            for j in range(4):
-                row += [dh.hh[i, j].real, dh.hh[i, j].imag]
-        row.append(float(np.abs(dh.hh - dh.hh.conj().T).max()))
-        rows.append(row)
-    _write_csv(out / "dilate.csv", header, rows)
+    grid = scn.grid()
+    dhs = [assemble_dilated(p, d, float(t), scn.mode, basis) for t in grid]
+    tau = np.array([dh.tau for dh in dhs])   # [[d + c, a - i b], [a + i b, d - c]]
+    hh = np.array([dh.hh for dh in dhs])
+    t00, t11 = tau[:, 0, 0].real, tau[:, 1, 1].real
+    _write_csv(out / "dilate.csv", {
+        "t": grid,
+        "a": tau[:, 1, 0].real,
+        "b": tau[:, 1, 0].imag,
+        "c": (t00 - t11) / 2.0,
+        "d": (t00 + t11) / 2.0,
+        **_re_im({f"hh_{i}{j}": hh[:, i, j] for i in range(4) for j in range(4)}),
+        "hh_residual": np.abs(hh - hh.conj().swapaxes(1, 2)).max(axis=(1, 2)),
+    })
 
 
 def cmd_simulate(scn: Scenario, out: Path) -> None:
     p, d = scn.params, scn.dparams
     cfg = replace(scn.tolerances, output_grid=scn.grid())
     traj = simulate_dilated(p, d, scn.psi0, (scn.t_start, scn.t_end), cfg, scn.mode)
-    rows = []
-    for k, t in enumerate(traj.times):
-        psi_ref = traj.extras["psi_ref"][k]
-        row = [t]
-        row += [psi_ref[0].real, psi_ref[0].imag, psi_ref[1].real, psi_ref[1].imag]
-        for c in traj.states[k]:
-            row += [c.real, c.imag]
-        row += [
-            traj.norms[k],
-            traj.fidelity[k],
-            traj.extras["lower_consistency"][k],
-            traj.extras["efficiency"][k],
-            "1" if traj.valid[k] else "0",
-        ]
-        rows.append(row)
-    header = (
-        ["t", "re_psi_up", "im_psi_up", "re_psi_down", "im_psi_down"]
-        + [f"{part}_Psi_{i}" for i in range(4) for part in ("re", "im")]
-        + ["norm_Psi", "fidelity", "lower_consistency", "efficiency", "valid"]
-    )
-    _write_csv(out / "simulate.csv", header, rows)
+    psi_ref = traj.extras["psi_ref"]
+    _write_csv(out / "simulate.csv", {
+        "t": traj.times,
+        **_re_im({"psi_up": psi_ref[:, 0], "psi_down": psi_ref[:, 1]}),
+        **_re_im({f"Psi_{i}": traj.states[:, i] for i in range(4)}),
+        "norm_Psi": traj.norms,
+        "fidelity": traj.fidelity,
+        "lower_consistency": traj.extras["lower_consistency"],
+        "efficiency": traj.extras["efficiency"],
+        "valid": np.where(traj.valid, "1", "0"),
+    })
     norm0 = traj.norms[0]
     _write_json(
         out / "simulate_summary.json",
@@ -306,10 +298,13 @@ def cmd_efficiency(scn: Scenario, out: Path) -> None:
     if np.linalg.norm(scn.psi0) == 0.0:
         raise ValidationError("initial_state must be nonzero")
     grid = scn.grid()
-    psi = _analytic_path(basis, scn.psi0, scn.t_start)(grid)
+    psi = propagate_analytic(p, scn.psi0, scn.t_start, grid, basis)
     eta = metric(p, d, grid, basis).eta
-    rows = zip(grid, _efficiency(psi, eta), _eta_norm(psi, eta))
-    _write_csv(out / "efficiency.csv", ["t", "efficiency", "eta_weighted_norm"], rows)
+    _write_csv(out / "efficiency.csv", {
+        "t": grid,
+        "efficiency": _efficiency(psi, eta),
+        "eta_weighted_norm": _eta_norm(psi, eta),
+    })
 
 
 _FIGURE_SETS = [
@@ -338,7 +333,7 @@ def cmd_paper_figures(out: Path, grid_step: float = 1e-3) -> None:
     thresholds["approx_d1_min_0_4p5"] = _round12(approx_bounds_interval(p, (0.0, 4.5), basis)[1])
     y0_21 = basis.y0(2.1)
     thresholds["y0_norm_sq_2p1"] = _round12(float(np.vdot(y0_21, y0_21).real))
-    thresholds["refined_d1_bound_2p1"] = _round12(refined_d1_bound(p, d0_sq, 2.1, basis))
+    thresholds["refined_d1_bound_2p1"] = _round12(refined_d1_bound(p, d0_sq, (0.0, 2.1), basis))
     _write_json(out / "thresholds.json", thresholds)
 
 

@@ -113,24 +113,15 @@ def propagate_analytic(
     p: HamiltonianParams,
     psi0: np.ndarray,
     t0: float,
-    t: float,
+    t,
     basis: SolutionBasis | None = None,
 ) -> np.ndarray:
-    """psi(t) from the basis combination matching psi0 at t0."""
-    return _analytic_path(basis or solution_basis(p), psi0, t0)(t)
-
-
-def _analytic_path(basis: SolutionBasis, psi0: np.ndarray, t0: float) -> Callable:
-    """t -> psi(t), shape (2,) or (2, n) for a 1-D array of t, with the
-    combination matching psi0 at t0 solved once."""
-    x0_0, x1_0 = basis.x_pair(t0)
-    c0, c1 = np.linalg.solve(np.column_stack([x0_0, x1_0]), np.asarray(psi0, dtype=complex))
-
-    def psi(t) -> np.ndarray:
-        x0_t, x1_t = basis.x_pair(t)
-        return c0 * x0_t + c1 * x1_t
-
-    return psi
+    """psi(t) from the basis combination matching psi0 at t0; t is a float
+    or a 1-D array of n times, psi has shape (2,) or (2, n)."""
+    basis = basis or solution_basis(p)
+    c0, c1 = np.linalg.solve(np.column_stack(basis.x_pair(t0)), np.asarray(psi0, dtype=complex))
+    x0, x1 = basis.x_pair(t)
+    return c0 * x0 + c1 * x1
 
 
 def simulate_dilated(
@@ -175,7 +166,7 @@ def simulate_dilated(
 
     traj = integrate_linear(generator, big_psi0, span, cfg)
 
-    psi_ref = _analytic_path(basis, psi0, float(span[0]))(traj.times)
+    psi_ref = propagate_analytic(p, psi0, float(span[0]), traj.times, basis)
     upper, lower = traj.states[:, :2].T, traj.states[:, 2:].T
     ms = metric(p, d, traj.times, basis)
     tau_t = tau_from_metric(ms)

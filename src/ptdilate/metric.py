@@ -260,7 +260,7 @@ def approx_bounds_interval(
     interval: tuple[float, float],
     basis: SolutionBasis | None = None,
 ) -> tuple[float, float]:
-    """Large-time approximate bounds on an interval [0, t_b]:
+    """Large-time approximate bounds on the interval [t_a, t_b]:
     d0_min = max 2/||y0||^2 and d1_min = max ||y0||^2 / Delta, the
     |D0|^2 -> inf limit of `refined_d1_bound`."""
     basis = basis or solution_basis(p)
@@ -279,20 +279,21 @@ def approx_bounds_interval(
 def refined_d1_bound(
     p: HamiltonianParams,
     d0_sq: float,
-    t0: float,
+    interval: tuple[float, float],
     basis: SolutionBasis | None = None,
 ) -> float:
-    """Smallest |D1|^2 keeping the dilation valid on [0, t0] at the given
-    |D0|^2: the max over t of (|D0|^2 ||y0||^2 - 1) / (|D0|^2 Delta -
+    """Smallest |D1|^2 keeping the dilation valid on the interval at the
+    given |D0|^2: the max over t of (|D0|^2 ||y0||^2 - 1) / (|D0|^2 Delta -
     ||y1||^2), the b-root of det(eta - 1) = 0; in practice the endpoint
     dominates."""
     basis = basis or solution_basis(p)
-    ts = _grid(0.0, float(t0))
+    ts = _grid(float(interval[0]), float(interval[1]))
     # the b-root exists only where |D0|^2 Delta > ||y1||^2: demand it at every t
     n1_max = _scalars(_UNIT, ts, basis)[1].max()
     if d0_sq * basis.gram_det <= n1_max:
         raise DegenerateDenominatorError(
-            f"need d0_sq * Delta > max ||y1||^2 on [0, t0] = {n1_max}, got d0_sq = {d0_sq}, Delta = {basis.gram_det}"
+            f"need d0_sq * Delta > max ||y1||^2 on [{ts[0]:g}, {ts[-1]:g}] = {n1_max}, "
+            f"got d0_sq = {d0_sq}, Delta = {basis.gram_det}"
         )
 
     def bound(n0, n1, lam_p, delta):

@@ -70,13 +70,6 @@ class Representation(Enum):
 
 # --- closed form (omega = 1/2) ---------------------------------------------
 
-def _closed_scalars_mp(t):
-    """(gamma, delta) as mpmath values at the caller's precision."""
-    tm = mp.mpf(t)
-    e = _erfi_series_mp(tm / mp.sqrt(2))
-    return -1j * mp.sqrt(2) * e, mp.exp(tm * tm / 2) - mp.sqrt(2) * tm * e
-
-
 def _on_time_axis(t):
     """(t as a 1-D float array, a function that shapes values computed on
     that axis like t).
@@ -113,41 +106,9 @@ def x_basis_closed_half(E: float, t) -> tuple[np.ndarray, np.ndarray]:
 
 # --- Whittaker representation ----------------------------------------------
 
-@lru_cache(maxsize=1 << 14)
-def _whittaker_pair_raw(omega: float, t: float) -> tuple[complex, complex, complex, complex]:
-    """Components of x0, x1 at t > 0 without the e^{-iEt} phase."""
-    kap, kap_p = model_kappas(omega)
-    mag = omega * t * t
-    rt = math.sqrt(t)
-    sw = math.sqrt(omega)
-
-    def _w(kappa, ray):
-        return complex(_whittaker_mp(kappa, MU, mag, ray))
-
-    x0_up = _w(kap, Ray.POSITIVE) / rt
-    x0_dn = -2j * sw * _w(kap_p, Ray.POSITIVE) / rt
-    x1_up = _w(-kap, Ray.ROTATED) / rt
-    x1_dn = _w(-kap_p, Ray.ROTATED) / (2.0 * sw) / rt
-    return x0_up, x0_dn, x1_up, x1_dn
-
-
-def x_basis_whittaker(p: HamiltonianParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Whittaker basis pair, shaped like the closed form's; one cached
-    mpmath evaluation per time point.  For t <= 1e-3 the sqrt(t) limit
-    freezes the amplitude at t = 1e-3 and only the phase keeps moving."""
-    ts, shaped = _on_time_axis(t)
-    if ts.min() < 0.0:
-        raise DomainError("Whittaker basis supports t >= 0 only")
-    raw = np.array([_whittaker_pair_raw(p.omega, max(float(s), T_SMALL)) for s in ts]).T
-    x = np.exp(-1j * p.E * ts) * raw   # rows: x0 up, x0 down, x1 up, x1 down
-    bad = ~np.isfinite(x).all(axis=0)
-    if bad.any():
-        raise OverflowRangeError(f"Whittaker basis exceeds double range at t = {ts[bad][0]}")
-    return shaped(x[:2]), shaped(x[2:])
-
-
 def _whittaker_pair_mp(omega, t):
-    """Whittaker x-pair components in mpmath arithmetic (no e^{-iEt} phase)."""
+    """Whittaker x-pair components in mpmath arithmetic (no e^{-iEt} phase);
+    for t <= T_SMALL the amplitude is the one at T_SMALL."""
     kap, kap_p = model_kappas(omega)
     ts = max(float(t), T_SMALL)
     mag = omega * ts * ts
@@ -160,6 +121,28 @@ def _whittaker_pair_mp(omega, t):
     x0 = (_w(kap, Ray.POSITIVE) / rt, -2j * sw * _w(kap_p, Ray.POSITIVE) / rt)
     x1 = (_w(-kap, Ray.ROTATED) / rt, _w(-kap_p, Ray.ROTATED) / (2 * sw) / rt)
     return x0, x1
+
+
+@lru_cache(maxsize=1 << 14)
+def _whittaker_pair_raw(omega: float, t: float) -> tuple[complex, complex, complex, complex]:
+    """`_whittaker_pair_mp` rounded to doubles: x0 up, x0 down, x1 up, x1 down."""
+    x0, x1 = _whittaker_pair_mp(omega, t)
+    return tuple(complex(v) for v in (*x0, *x1))
+
+
+def x_basis_whittaker(p: HamiltonianParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Whittaker basis pair, shaped like the closed form's; one cached
+    mpmath evaluation per time point.  For t <= 1e-3 the sqrt(t) limit
+    freezes the amplitude at t = 1e-3 and only the phase keeps moving."""
+    ts, shaped = _on_time_axis(t)
+    if ts.min() < 0.0:
+        raise DomainError("Whittaker basis supports t >= 0 only")
+    raw = np.array([_whittaker_pair_raw(p.omega, float(s)) for s in ts]).T
+    x = np.exp(-1j * p.E * ts) * raw   # rows: x0 up, x0 down, x1 up, x1 down
+    bad = ~np.isfinite(x).all(axis=0)
+    if bad.any():
+        raise OverflowRangeError(f"Whittaker basis exceeds double range at t = {ts[bad][0]}")
+    return shaped(x[:2]), shaped(x[2:])
 
 
 # --- basis object -----------------------------------------------------------
@@ -221,7 +204,8 @@ class SolutionBasis:
         E = self.params.E
         if self.representation is Representation.CLOSED_FORM_HALF:
             tm = mp.mpf(t)
-            gamma, delta = _closed_scalars_mp(tm)
+            e = _erfi_series_mp(tm / mp.sqrt(2))
+            gamma, delta = -1j * mp.sqrt(2) * e, mp.exp(tm * tm / 2) - mp.sqrt(2) * tm * e
             pref = mp.exp(-1j * E * tm - tm * tm / 4)
             y0 = (pref * delta, pref * gamma)
             y1 = (pref * (-1j * tm), pref)

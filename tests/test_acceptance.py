@@ -88,7 +88,7 @@ def test_criterion_2_breakdown_times(breakdowns):
 
 
 def test_criterion_3_refined_bound():
-    bound = refined_d1_bound(P, 3.5, 2.1)
+    bound = refined_d1_bound(P, 3.5, (0.0, 2.1))
     basis = solution_basis(P)
     y0 = basis.y0(2.1)
     n0 = float(np.vdot(y0, y0).real)

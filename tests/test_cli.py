@@ -13,7 +13,7 @@ from ptdilate.cli import MAX_GRID_POINTS, Scenario, main
 from ptdilate.dilation import tau_from_metric
 from ptdilate.errors import ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
-from ptdilate.metric import DilationParams, metric
+from ptdilate.metric import DilationParams, eigenvalues, metric
 from ptdilate.model import HamiltonianParams
 
 
@@ -199,6 +199,18 @@ class TestBoundsCommand:
         report = json.loads((tmp_path / "bounds.json").read_text())
         assert report["refined_d1_bound"] == pytest.approx(9.8127, abs=1e-4)
 
+    def test_refined_bound_on_the_scenario_interval(self, tmp_path):
+        # lambda_minus(0) = 0.9 < 1 and max ||y1||^2 = 1.213 on [0, 3.5], but
+        # 0.677 on [2, 3.5]: the b-root exists on the scenario's interval
+        scn = _write_scenario(tmp_path / "s.json", d0_sq=0.9, t_start=2.0, t_end=3.5)
+        assert main(["bounds", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bounds.json").read_text())
+        d1_sq = report["refined_d1_bound"]
+        assert d1_sq is not None and report["refined_reason"] is None
+        p, ts = HamiltonianParams(1.0, 0.5), np.linspace(2.0, 3.5, 1501)
+        assert eigenvalues(p, DilationParams(0.9, d1_sq), ts)[1].min() >= 1.0 - 1e-9
+        assert eigenvalues(p, DilationParams(0.9, 0.999999 * d1_sq), ts)[1].min() < 1.0 - 1e-9
+
 
 class TestBreakdownCommand:
     def test_breakdown_written(self, tmp_path):
@@ -257,6 +269,41 @@ class TestDilateAndEfficiency:
         eff_col = header.index("efficiency")
         assert float(rows[0][eff_col]) == pytest.approx(1.0 / 3.5, rel=1e-9)
         assert all(0.0 < float(r[eff_col]) <= 1.0 + 1e-12 for r in rows)
+
+
+_HH_COLUMNS = (
+    "re_hh_00,im_hh_00,re_hh_01,im_hh_01,re_hh_02,im_hh_02,re_hh_03,im_hh_03,"
+    "re_hh_10,im_hh_10,re_hh_11,im_hh_11,re_hh_12,im_hh_12,re_hh_13,im_hh_13,"
+    "re_hh_20,im_hh_20,re_hh_21,im_hh_21,re_hh_22,im_hh_22,re_hh_23,im_hh_23,"
+    "re_hh_30,im_hh_30,re_hh_31,im_hh_31,re_hh_32,im_hh_32,re_hh_33,im_hh_33"
+)
+
+
+class TestTableHeaders:
+    """Every table's columns, exactly and in order."""
+
+    @pytest.mark.parametrize(
+        "command, filename, header",
+        [
+            ("spectrum", "spectrum.csv", "t,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,phase"),
+            ("metric-scan", "metric_scan.csv", "t,lambda_minus,lambda_plus,valid"),
+            ("dilate", "dilate.csv", f"t,a,b,c,d,{_HH_COLUMNS},hh_residual"),
+            (
+                "simulate",
+                "simulate.csv",
+                "t,re_psi_up,im_psi_up,re_psi_down,im_psi_down,"
+                "re_Psi_0,im_Psi_0,re_Psi_1,im_Psi_1,re_Psi_2,im_Psi_2,re_Psi_3,im_Psi_3,"
+                "norm_Psi,fidelity,lower_consistency,efficiency,valid",
+            ),
+            ("efficiency", "efficiency.csv", "t,efficiency,eta_weighted_norm"),
+        ],
+    )
+    def test_header(self, tmp_path, command, filename, header):
+        scn = _write_scenario(tmp_path / "s.json", t_end=1.0, grid_step=0.5)
+        assert main([command, "--scenario", scn, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / filename).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 4 and all(len(line.split(",")) == len(header.split(",")) for line in lines)
 
 
 class TestPaperFigures:

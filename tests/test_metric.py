@@ -179,12 +179,12 @@ class TestApproxBounds:
 
 class TestRefinedBound:
     def test_reference_point(self):
-        value = refined_d1_bound(P, 3.5, 2.1)
+        value = refined_d1_bound(P, 3.5, (0.0, 2.1))
         assert abs(value - 4.633) <= 0.005
         assert value == pytest.approx(REFINED_BOUND_2P1, rel=1e-6)
 
     def test_close_to_approx_bound_at_four(self):
-        value = refined_d1_bound(P, 3.5, 4.0)
+        value = refined_d1_bound(P, 3.5, (0.0, 4.0))
         assert abs(value - 237.80) <= 0.01 * 237.80
 
     def test_guard_triggers_iff_d0_too_small(self):
@@ -193,15 +193,15 @@ class TestRefinedBound:
         n1_21, n1_max = n1[-1], max(n1)
         assert n1_max > n1_21 + 0.01
         with pytest.raises(DegenerateDenominatorError):
-            refined_d1_bound(P, 0.5, 2.1)
+            refined_d1_bound(P, 0.5, (0.0, 2.1))
         with pytest.raises(DegenerateDenominatorError):
-            refined_d1_bound(P, n1_21 - 0.01, 2.1)
+            refined_d1_bound(P, n1_21 - 0.01, (0.0, 2.1))
         # |D0|^2 Delta above ||y1(t0)||^2 but not above ||y1||^2 everywhere on
         # [0, t0]: no |D1|^2 keeps lam_minus >= 1 there
         with pytest.raises(DegenerateDenominatorError):
-            refined_d1_bound(P, n1_21 + 0.01, 2.1)
+            refined_d1_bound(P, n1_21 + 0.01, (0.0, 2.1))
         d0_sq = n1_max + 0.01
-        d1_sq = refined_d1_bound(P, d0_sq, 2.1)
+        d1_sq = refined_d1_bound(P, d0_sq, (0.0, 2.1))
         lam_m = eigenvalues(P, DilationParams(d0_sq, d1_sq), np.linspace(0.0, 2.1, 2101))[1]
         assert lam_m.min() >= 1.0 - 1e-9
 
@@ -228,7 +228,7 @@ class TestBoundsGeneralOmega:
     @pytest.mark.parametrize("omega", _WHITTAKER_OMEGAS)
     def test_refined_bound_is_tight(self, omega):
         p, basis = _whittaker(omega)
-        d1_sq = refined_d1_bound(p, 20.0, 2.0, basis)
+        d1_sq = refined_d1_bound(p, 20.0, (0.0, 2.0), basis)
         assert _min_lambda_minus(p, DilationParams(20.0, d1_sq), basis) == pytest.approx(1.0, abs=1e-9)
         assert _min_lambda_minus(p, DilationParams(20.0, (1.0 - 1e-6) * d1_sq), basis) < 1.0
 

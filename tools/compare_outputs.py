@@ -41,6 +41,7 @@ def _seeded_state(seed: int) -> list[float]:
 # (name, CLI arguments, scenario or None)
 INVOCATIONS = [
     ("paper_figures", ["paper-figures"], None),
+    ("spectrum", ["spectrum"], {"t_end": 4.0, "grid_step": 0.01}),
     ("simulate_default", ["simulate", "--tmax", "3.9"], None),
     ("simulate_seeded", ["simulate"], {"t_end": 3.9, "initial_state": _seeded_state(1)}),
     ("simulate_span_start", ["simulate"], {"d0_sq": 0.9, "t_start": 2.0, "t_end": 3.5}),
@@ -52,6 +53,8 @@ INVOCATIONS = [
     ("bounds", ["bounds"], None),
     # general omega: every bound divides by the Whittaker basis's Delta = 4 w^2
     ("bounds_general", ["bounds"], {"omega": 0.37, "d0_sq": 20.0, "t_end": 2.0}),
+    # an interval that does not start at 0: every bound slices [t_start, t_end]
+    ("bounds_span", ["bounds"], {"t_start": 2.0, "t_end": 3.5, "d0_sq": 0.9}),
     ("breakdown", ["breakdown", "--tmax", "5.0"], None),
     # general omega: the Whittaker basis, with a crossing at t = 1.3966 for the bisection
     ("breakdown_general", ["breakdown", "--tmax", "1.5"], {"omega": 1.3, "d1_sq": 2.0}),
