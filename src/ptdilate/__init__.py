@@ -65,8 +65,6 @@ from .solutions import (
     ode_residual,
     solution_basis,
     wronskian,
-    x_basis_closed_half,
-    x_basis_whittaker,
 )
 from .specfun import (
     Ray,

@@ -1,10 +1,10 @@
 """Command-line front end: scenario files in, CSV tables and JSON out.
 
-Subcommands: spectrum | metric-scan | bounds | breakdown | dilate |
-simulate | efficiency | paper-figures.  Every number is emitted with 12
-significant digits so identical scenarios produce byte-identical files.
-Exit codes: 0 success, 2 validation error, 3 numeric-domain error
-(overflow or breakdown).
+Subcommands: paper-figures, and the scenario commands of `_COMMANDS`.
+Every number is emitted with 12 significant digits so identical scenarios
+produce byte-identical files.  Each distinct library warning is printed
+once to stderr as a `warning: <message>` line.  Exit codes: 0 success,
+2 validation error, 3 numeric-domain error (overflow or breakdown).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -37,10 +38,7 @@ from .solutions import solution_basis
 
 __all__ = ["Scenario", "main"]
 
-_H4_MODES = {
-    "hermitian_part": H4Mode.HERMITIAN_PART,
-    "mirror": H4Mode.MIRROR,
-}
+_H4_MODE_NAMES = sorted(m.value for m in H4Mode)
 
 
 def _fmt(x: float) -> str:
@@ -92,8 +90,8 @@ class Scenario:
             raise ValidationError(
                 f"tolerances.max_step must allow at most {MAX_GRID_POINTS} steps, got {self.tolerances.max_step}"
             )
-        if self.h4_mode not in _H4_MODES:
-            raise ValidationError(f"unknown h4_mode {self.h4_mode!r}; use one of {sorted(_H4_MODES)}")
+        if self.h4_mode not in _H4_MODE_NAMES:
+            raise ValidationError(f"unknown h4_mode {self.h4_mode!r}; use one of {_H4_MODE_NAMES}")
         if len(self.initial_state) != 4 or not all(math.isfinite(v) for v in self.initial_state):
             raise ValidationError(
                 "initial_state must be four finite reals (re_up, im_up, re_down, im_down)"
@@ -152,7 +150,7 @@ class Scenario:
 
     @property
     def mode(self) -> H4Mode:
-        return _H4_MODES[self.h4_mode]
+        return H4Mode(self.h4_mode)
 
     def grid(self) -> np.ndarray:
         return _grid(self.t_start, self.t_end, self.grid_step)
@@ -210,7 +208,7 @@ def cmd_bounds(scn: Scenario, out: Path) -> None:
     basis = solution_basis(p)
     interval = (scn.t_start, scn.t_end)
     d0_min, d1_min = approx_bounds_interval(p, interval, basis)
-    y0_end = basis.y0(scn.t_end)
+    y0_end = basis.y_pair(scn.t_end)[0]
     naive_d1 = float(np.vdot(y0_end, y0_end).real) / basis.gram_det
     payload = {
         "interval": [scn.t_start, scn.t_end],
@@ -331,10 +329,21 @@ def cmd_paper_figures(out: Path, grid_step: float = 1e-3) -> None:
     thresholds["approx_d0_min_0_4"] = _round12(d0_min)
     thresholds["approx_d1_min_0_4"] = _round12(d1_min)
     thresholds["approx_d1_min_0_4p5"] = _round12(approx_bounds_interval(p, (0.0, 4.5), basis)[1])
-    y0_21 = basis.y0(2.1)
+    y0_21 = basis.y_pair(2.1)[0]
     thresholds["y0_norm_sq_2p1"] = _round12(float(np.vdot(y0_21, y0_21).real))
     thresholds["refined_d1_bound_2p1"] = _round12(refined_d1_bound(p, d0_sq, (0.0, 2.1), basis))
     _write_json(out / "thresholds.json", thresholds)
+
+
+_COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "metric-scan": cmd_metric_scan,
+    "bounds": cmd_bounds,
+    "breakdown": cmd_breakdown,
+    "dilate": cmd_dilate,
+    "simulate": cmd_simulate,
+    "efficiency": cmd_efficiency,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,17 +352,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Metric-operator construction and Hermitian dilation of the swept two-level model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "metric-scan", "bounds", "breakdown", "dilate", "simulate", "efficiency"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", type=str, default=None, help="JSON scenario file")
         sp.add_argument("--out", type=str, default=".", help="output directory")
         sp.add_argument("--grid-step", type=float, default=None, help="override scenario grid_step")
         sp.add_argument("--tmax", type=float, default=None, help="override scenario t_end")
-        sp.add_argument("--h4-mode", type=str, default=None, choices=sorted(_H4_MODES))
+        sp.add_argument("--h4-mode", type=str, default=None, choices=_H4_MODE_NAMES)
     sp = sub.add_parser("paper-figures")
     sp.add_argument("--out", type=str, default=".", help="output directory")
     sp.add_argument("--grid-step", type=float, default=1e-3)
     return parser
+
+
+def _run(args) -> None:
+    if args.command == "paper-figures":
+        return cmd_paper_figures(Path(args.out), grid_step=args.grid_step)
+    scn = Scenario.from_file(args.scenario) if args.scenario else Scenario()
+    for key, value in (("grid_step", args.grid_step), ("t_end", args.tmax), ("h4_mode", args.h4_mode)):
+        if value is not None:
+            setattr(scn, key, value)
+    _COMMANDS[args.command](scn.validate(), Path(args.out))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -362,36 +381,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    out = Path(args.out)
-    try:
-        if args.command == "paper-figures":
-            cmd_paper_figures(out, grid_step=args.grid_step)
-            return 0
-        scn = Scenario.from_file(args.scenario) if args.scenario else Scenario()
-        if args.grid_step is not None:
-            scn.grid_step = args.grid_step
-        if args.tmax is not None:
-            scn.t_end = args.tmax
-        if args.h4_mode is not None:
-            scn.h4_mode = args.h4_mode
-        scn.validate()
-        dispatch = {
-            "spectrum": cmd_spectrum,
-            "metric-scan": cmd_metric_scan,
-            "bounds": cmd_bounds,
-            "breakdown": cmd_breakdown,
-            "dilate": cmd_dilate,
-            "simulate": cmd_simulate,
-            "efficiency": cmd_efficiency,
-        }
-        dispatch[args.command](scn, out)
-        return 0
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except PTDilateError as exc:
-        print(f"numeric-domain error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _run(args)
+            code, error = 0, None
+        except ValidationError as exc:
+            code, error = 2, f"validation error: {exc}"
+        except PTDilateError as exc:
+            code, error = 3, f"numeric-domain error: {exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .dilation import H4Mode, assemble_dilated, tau_from_metric
 from .errors import BreakdownError, IntegrationError, ValidationError
 from .metric import VALIDITY_TOL, DilationParams, _abs2, _breakdown_cached, metric
 from .model import HamiltonianParams
-from .solutions import SolutionBasis, solution_basis
+from .solutions import SolutionBasis, _basis_for
 
 __all__ = [
     "EvolutionConfig",
@@ -118,7 +118,7 @@ def propagate_analytic(
 ) -> np.ndarray:
     """psi(t) from the basis combination matching psi0 at t0; t is a float
     or a 1-D array of n times, psi has shape (2,) or (2, n)."""
-    basis = basis or solution_basis(p)
+    basis = _basis_for(p, basis)
     c0, c1 = np.linalg.solve(np.column_stack(basis.x_pair(t0)), np.asarray(psi0, dtype=complex))
     x0, x1 = basis.x_pair(t)
     return c0 * x0 + c1 * x1
@@ -150,8 +150,7 @@ def simulate_dilated(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (2,) or np.linalg.norm(psi0) == 0.0:
         raise ValidationError("psi0 must be a nonzero 2-dim complex vector")
-    if basis is None:
-        basis = solution_basis(p)
+    basis = _basis_for(p, basis)
     t_break = _breakdown_cached(p, d, float(span[0]), float(span[1]), basis)
     if t_break is not None:
         raise BreakdownError(

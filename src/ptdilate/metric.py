@@ -1,6 +1,7 @@
 """Metric operator eta(t; D0, D1), validity analysis and parameter bounds.
 
-eta = |D0|^2 |y0><y0| + |D1|^2 |y1><y1| built on the dual basis.  Its
+eta = |D0|^2 |y0><y0| + |D1|^2 |y1><y1| built on the dual basis's phase-free
+amplitudes, the energy offset's phase cancelling in each outer product.  Its
 eigenvalues are lam_pm = l/2 +- sqrt(l^2/4 - |D0 D1|^2 Delta) with
 l = |D0|^2 ||y0||^2 + |D1|^2 ||y1||^2 and the Gram quantity
 Delta = ||y0||^2 ||y1||^2 - |<y0|y1>|^2 = |det[y0, y1]|^2.  A Hermitian
@@ -35,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .model import HamiltonianParams, hamiltonian
-from .solutions import SolutionBasis, _on_time_axis, solution_basis
+from .solutions import SolutionBasis, _basis_for, _on_time_axis
 
 __all__ = [
     "DilationParams",
@@ -129,12 +130,12 @@ def _scalars_mp(basis, d, t, z):
 
 def _scalars(d, t, basis, y=None):
     """(n0, n1, l, lam_p, lam_m), each shaped like t; y, if given, is
-    basis.y_pair(t) for a 1-D t.  Raises where l leaves double range."""
+    basis.dual_amplitudes(t) for a 1-D t.  Raises where l leaves double range."""
     ts, shaped = _on_time_axis(t)
     if abs(ts).max() > basis.horizon:
         t_bad = ts[abs(ts) > basis.horizon][0]
         raise OverflowRangeError(f"t = {t_bad} beyond the numeric horizon {basis.horizon:.3f} of this basis")
-    out = _scalars_double(d, basis.y_pair(ts) if y is None else y, basis.gram_det)
+    out = _scalars_double(d, basis.dual_amplitudes(ts) if y is None else y, basis.gram_det)
     if not math.isfinite(out[2].max()):   # l >= 0, so only inf or NaN can fail
         t_bad = ts[~np.isfinite(out[2])][0]
         raise OverflowRangeError(f"metric scalars exceed double range at t = {t_bad}")
@@ -152,13 +153,14 @@ def metric(
     eta_dot comes from the analytic derivative y' = -i H^dag y pushed
     through the outer-product sum, not from finite differences.
     """
-    basis = basis or solution_basis(p)
+    basis = _basis_for(p, basis)
     ts, shaped = _on_time_axis(t)
-    y = basis.y_pair(ts)
+    y = basis.dual_amplitudes(ts)
     w = np.array([d.d0_sq, d.d1_sq])[:, None, None, None]
     eta = (w * y[:, :, None] * y.conj()[:, None]).sum(axis=0)
-    # eta_dot = m + m^dag, m = sum_k |D_k|^2 |y_k'><y_k| = -i H^dag eta
-    a_bar = p.E - 1j * p.omega * ts   # conjugate of H_00
+    # eta_dot = m + m^dag, m = sum_k |D_k|^2 |y_k'><y_k| = -i K^dag eta, where
+    # K = H - tr(H)/2, traceless, moves the phase-free duals
+    a_bar = -1j * p.omega * ts   # conjugate of K_00
     m = -1j * np.array([a_bar * eta[0] + eta[1], eta[0] + a_bar.conj() * eta[1]])
     eta, eta_dot = shaped(eta), shaped(m + m.conj().swapaxes(0, 1))
     _, _, l, lam_p, lam_m = (shaped(v) for v in _scalars(d, ts, basis, y))
@@ -183,7 +185,7 @@ def eigenvalues(
 ) -> tuple:
     """(lam_plus, lam_minus) at t, a float or a 1-D array, without
     assembling the full state; each is shaped like t."""
-    return _scalars(d, t, basis or solution_basis(p))[3:]
+    return _scalars(d, t, _basis_for(p, basis))[3:]
 
 
 def eta_evolution_residual(
@@ -194,7 +196,7 @@ def eta_evolution_residual(
 ) -> float:
     """Max-entry magnitude of i eta_dot - (H^dag eta - eta H) with eta_dot
     recomputed by central finite differences of metric(.)."""
-    basis = basis or solution_basis(p)
+    basis = _basis_for(p, basis)
     h = 1e-6 * max(1.0, abs(t))
     eta_plus = metric(p, d, t + h, basis).eta
     eta_minus = metric(p, d, t - h, basis).eta
@@ -252,7 +254,7 @@ def equal_d_bound(
     interval: max of lam_plus / Delta at D0 = D1 = 1, the larger root of
     det(eta - 1) = 0 on the diagonal a = b."""
     ts = _grid(float(interval[0]), float(interval[1]))
-    return _slice_max(basis or solution_basis(p), ts, lambda n0, n1, lam_p, delta: lam_p / delta)
+    return _slice_max(_basis_for(p, basis), ts, lambda n0, n1, lam_p, delta: lam_p / delta)
 
 
 def approx_bounds_interval(
@@ -263,7 +265,7 @@ def approx_bounds_interval(
     """Large-time approximate bounds on the interval [t_a, t_b]:
     d0_min = max 2/||y0||^2 and d1_min = max ||y0||^2 / Delta, the
     |D0|^2 -> inf limit of `refined_d1_bound`."""
-    basis = basis or solution_basis(p)
+    basis = _basis_for(p, basis)
     ts = _grid(float(interval[0]), float(interval[1]))
     n0_end, n1_end = _scalars(_UNIT, ts[-1], basis)[:2]
     if math.sqrt(n1_end) > 0.1 * math.sqrt(n0_end):
@@ -286,7 +288,7 @@ def refined_d1_bound(
     given |D0|^2: the max over t of (|D0|^2 ||y0||^2 - 1) / (|D0|^2 Delta -
     ||y1||^2), the b-root of det(eta - 1) = 0; in practice the endpoint
     dominates."""
-    basis = basis or solution_basis(p)
+    basis = _basis_for(p, basis)
     ts = _grid(float(interval[0]), float(interval[1]))
     # the b-root exists only where |D0|^2 Delta > ||y1||^2: demand it at every t
     n1_max = _scalars(_UNIT, ts, basis)[1].max()
@@ -314,7 +316,7 @@ def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
         )
 
     def drop(ts):   # lam_minus - 1
-        return _scalars_double(d, basis.y_pair(ts), basis.gram_det)[4] - 1.0
+        return _scalars_double(d, basis.dual_amplitudes(ts), basis.gram_det)[4] - 1.0
 
     ts = _grid(t_lo, t_hi)
     f = drop(ts)
@@ -345,7 +347,7 @@ def breakdown_time(
 
     Scans with step 1e-3 and bisects the first sign change down to 1e-9.
     """
-    return _breakdown_scan(d, 0.0, float(t_max), basis or solution_basis(p))
+    return _breakdown_scan(d, 0.0, float(t_max), _basis_for(p, basis))
 
 
 @lru_cache(maxsize=256)

@@ -15,6 +15,9 @@ with the prefactor-free erfi(x) = e^{x^2} F(x) of `specfun`, F Dawson's
 integral (DLMF 7.2.5).  delta = e^{t^2/2} (1 - 2 x F(x)), x = t / sqrt(2),
 does not cancel in doubles.  The Whittaker representation is never rescaled
 onto the closed form; cross-representation checks compare ratios only.
+
+E enters only through the common phase e^{-iEt}: each representation
+evaluates phase-free amplitudes, and `SolutionBasis.x_pair` alone applies it.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ __all__ = [
     "SolutionBasis",
     "solution_basis",
     "model_kappas",
-    "x_basis_whittaker",
-    "x_basis_closed_half",
     "wronskian",
     "ode_residual",
 ]
@@ -86,10 +87,9 @@ def _on_time_axis(t):
     return ts, lambda v: v
 
 
-def x_basis_closed_half(E: float, t) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form basis pair at omega = 1/2, shaped like `x_pair`'s;
-    exact at t = 0."""
-    ts, shaped = _on_time_axis(t)
+def _closed_half_amplitudes(ts: np.ndarray) -> np.ndarray:
+    """Phase-free closed-form pair e^{-t^2/4} ((1, -i t), (gamma, delta))
+    on a 1-D time axis, stacked: shape (2, 2, n); exact at t = 0."""
     if abs(ts).max() > CLOSED_FORM_T_MAX:
         raise OverflowRangeError(
             f"closed-form basis is limited to |t| <= {CLOSED_FORM_T_MAX} without rescaling"
@@ -98,10 +98,8 @@ def x_basis_closed_half(E: float, t) -> tuple[np.ndarray, np.ndarray]:
     f = dawsn(x)  # Dawson's integral F(x)
     growth = np.exp(x * x)
     gamma, delta = -1j * math.sqrt(2.0) * growth * f, growth * (1.0 - 2.0 * x * f)
-    pref = np.exp(-1j * E * ts - ts * ts / 4.0)
-    x0 = np.array([pref, -1j * ts * pref])
-    x1 = np.array([pref * gamma, pref * delta])
-    return shaped(x0), shaped(x1)
+    g = np.exp(-ts * ts / 4.0)
+    return np.array([[g, -1j * ts * g], [g * gamma, g * delta]])
 
 
 # --- Whittaker representation ----------------------------------------------
@@ -130,19 +128,16 @@ def _whittaker_pair_raw(omega: float, t: float) -> tuple[complex, complex, compl
     return tuple(complex(v) for v in (*x0, *x1))
 
 
-def x_basis_whittaker(p: HamiltonianParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Whittaker basis pair, shaped like the closed form's; one cached
-    mpmath evaluation per time point.  For t <= 1e-3 the sqrt(t) limit
-    freezes the amplitude at t = 1e-3 and only the phase keeps moving."""
-    ts, shaped = _on_time_axis(t)
+def _whittaker_amplitudes(omega: float, ts: np.ndarray) -> np.ndarray:
+    """Phase-free Whittaker pair, stacked like the closed form's; one cached
+    mpmath evaluation per time point (the one at T_SMALL for t <= T_SMALL)."""
     if ts.min() < 0.0:
         raise DomainError("Whittaker basis supports t >= 0 only")
-    raw = np.array([_whittaker_pair_raw(p.omega, float(s)) for s in ts]).T
-    x = np.exp(-1j * p.E * ts) * raw   # rows: x0 up, x0 down, x1 up, x1 down
-    bad = ~np.isfinite(x).all(axis=0)
+    x = np.array([_whittaker_pair_raw(omega, float(s)) for s in ts]).T.reshape(2, 2, -1)
+    bad = ~np.isfinite(x).all(axis=(0, 1))
     if bad.any():
         raise OverflowRangeError(f"Whittaker basis exceeds double range at t = {ts[bad][0]}")
-    return shaped(x[:2]), shaped(x[2:])
+    return x
 
 
 # --- basis object -----------------------------------------------------------
@@ -170,51 +165,45 @@ class SolutionBasis:
 
     @property
     def gram_det(self) -> float:
-        """|det[y0, y1]|^2 = ||y0||^2 ||y1||^2 - |<y0|y1>|^2, constant in t
-        by Liouville's formula (trace H is 2E, so det[x0, x1] ~ e^{-2iEt})."""
+        """|det[y0, y1]|^2 = ||y0||^2 ||y1||^2 - |<y0|y1>|^2, constant in t by
+        Liouville's formula (the phase-free amplitudes obey a traceless system)."""
         if self.representation is Representation.CLOSED_FORM_HALF:
             return 1.0
         return 4.0 * self.params.omega ** 2
 
+    def _amplitudes(self, ts: np.ndarray) -> np.ndarray:
+        """Phase-free x-pair e^{iEt} (x0, x1) on a 1-D time axis, shape (2, 2, n)."""
+        if self.representation is Representation.CLOSED_FORM_HALF:
+            return _closed_half_amplitudes(ts)
+        return _whittaker_amplitudes(self.params.omega, ts)
+
     def x_pair(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(x0, x1) at t, a float or 1-D array of n times: shape (2,) or (2, n)."""
-        if self.representation is Representation.CLOSED_FORM_HALF:
-            return x_basis_closed_half(self.params.E, t)
-        return x_basis_whittaker(self.params, t)
+        ts, shaped = _on_time_axis(t)
+        x = np.exp(-1j * self.params.E * ts) * self._amplitudes(ts)
+        return shaped(x[0]), shaped(x[1])
 
     def y_pair(self, t) -> np.ndarray:
         """Dual pair y0 = sigma_x x1, y1 = sigma_x x0 stacked, shape (2, 2)
         or (2, 2, n): a reversed view of the stacked x_pair."""
         return np.array(self.x_pair(t))[::-1, ::-1]
 
-    def x0(self, t: float) -> np.ndarray:
-        return self.x_pair(t)[0]
-
-    def x1(self, t: float) -> np.ndarray:
-        return self.x_pair(t)[1]
-
-    def y0(self, t: float) -> np.ndarray:
-        return self.y_pair(t)[0]
-
-    def y1(self, t: float) -> np.ndarray:
-        return self.y_pair(t)[1]
+    def dual_amplitudes(self, t) -> np.ndarray:
+        """Phase-free dual pair e^{iEt} (y0, y1), shaped like y_pair: the
+        metric reads these, as the phase cancels in each |y_k><y_k|."""
+        ts, shaped = _on_time_axis(t)
+        return shaped(self._amplitudes(ts)[::-1, ::-1])
 
     def y_pair_mp(self, t: float):
-        """Dual pair as mpmath complex tuples at the caller's precision."""
-        E = self.params.E
+        """Phase-free dual pair as mpmath complex tuples at the caller's precision."""
         if self.representation is Representation.CLOSED_FORM_HALF:
             tm = mp.mpf(t)
             e = _erfi_series_mp(tm / mp.sqrt(2))
+            g = mp.exp(-tm * tm / 4)
             gamma, delta = -1j * mp.sqrt(2) * e, mp.exp(tm * tm / 2) - mp.sqrt(2) * tm * e
-            pref = mp.exp(-1j * E * tm - tm * tm / 4)
-            y0 = (pref * delta, pref * gamma)
-            y1 = (pref * (-1j * tm), pref)
-            return y0, y1
+            return (g * delta, g * gamma), (g * (-1j * tm), g)
         (x0u, x0d), (x1u, x1d) = _whittaker_pair_mp(self.params.omega, t)
-        phase = mp.exp(-1j * mp.mpf(E) * mp.mpf(t))
-        y0 = (phase * x1d, phase * x1u)
-        y1 = (phase * x0d, phase * x0u)
-        return y0, y1
+        return (x1d, x1u), (x0d, x0u)
 
 
 def solution_basis(p: HamiltonianParams, representation: Representation | None = None) -> SolutionBasis:
@@ -225,6 +214,15 @@ def solution_basis(p: HamiltonianParams, representation: Representation | None =
             Representation.CLOSED_FORM_HALF if p.omega == 0.5 else Representation.WHITTAKER_GENERAL
         )
     return SolutionBasis(p, representation)
+
+
+def _basis_for(p: HamiltonianParams, basis: SolutionBasis | None) -> SolutionBasis:
+    """basis, or p's canonical basis if it is None; refuses one built for other parameters."""
+    if basis is None:
+        return solution_basis(p)
+    if basis.params != p:
+        raise ValidationError(f"basis was built for {basis.params}, not for {p}")
+    return basis
 
 
 def wronskian(basis: SolutionBasis, t: float) -> complex:

@@ -90,7 +90,7 @@ def test_criterion_2_breakdown_times(breakdowns):
 def test_criterion_3_refined_bound():
     bound = refined_d1_bound(P, 3.5, (0.0, 2.1))
     basis = solution_basis(P)
-    y0 = basis.y0(2.1)
+    y0 = basis.y_pair(2.1)[0]
     n0 = float(np.vdot(y0, y0).real)
     ok = abs(bound - 4.633) <= 0.005 and abs(n0 - 4.129) <= 0.005
     _report(3, ok, f"refined bound = {bound:.4f} (want 4.633), ||y0(2.1)||^2 = {n0:.4f} (want 4.129)")

@@ -199,6 +199,14 @@ class TestBoundsCommand:
         report = json.loads((tmp_path / "bounds.json").read_text())
         assert report["refined_d1_bound"] == pytest.approx(9.8127, abs=1e-4)
 
+    def test_library_warning_is_one_plain_line(self, tmp_path, capsys):
+        scn = _write_scenario(tmp_path / "s.json", omega=0.37, d0_sq=20.0, t_end=2.0)
+        assert main(["bounds", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: ||y1(t_b)|| is not small against ||y0(t_b)||; the approximate bounds may be loose"
+        ]
+
     def test_refined_bound_on_the_scenario_interval(self, tmp_path):
         # lambda_minus(0) = 0.9 < 1 and max ||y1||^2 = 1.213 on [0, 3.5], but
         # 0.677 on [2, 3.5]: the b-root exists on the scenario's interval
@@ -261,6 +269,15 @@ class TestDilateAndEfficiency:
         header, rows = _read_csv(tmp_path / "dilate.csv")
         res_col = header.index("hh_residual")
         assert all(float(r[res_col]) < 1e-9 for r in rows)
+
+    def test_dilate_re_tau10_vanishes_at_half(self, tmp_path):
+        # at w = 1/2 the phase-free duals make eta_10, hence tau_10, purely
+        # imaginary, so the a column is exactly 0
+        assert main(["dilate", "--tmax", "3.9", "--grid-step", "0.01", "--out", str(tmp_path)]) == 0
+        header, rows = _read_csv(tmp_path / "dilate.csv")
+        a_col = header.index("a")
+        assert len(rows) == 391
+        assert all(float(r[a_col]) == 0.0 for r in rows)
 
     def test_efficiency_start_value(self, tmp_path):
         scn = _write_scenario(tmp_path / "s.json", t_end=2.0, grid_step=0.5)

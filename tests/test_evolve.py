@@ -14,7 +14,7 @@ from ptdilate.evolve import (
 )
 from ptdilate.metric import DilationParams, metric
 from ptdilate.model import HamiltonianParams, hamiltonian
-from ptdilate.solutions import Representation, solution_basis, x_basis_closed_half
+from ptdilate.solutions import Representation, solution_basis
 
 P = HamiltonianParams(E=1.0, omega=0.5)
 D_REF = DilationParams(3.5, 238.0)
@@ -32,7 +32,7 @@ class TestIntegrateLinear:
         cfg = EvolutionConfig(output_grid=grid)
         traj = integrate_linear(lambda t: hamiltonian(P, t), np.array([1.0, 0.0]), (0.0, 3.0), cfg)
         for t, state in zip(traj.times, traj.states):
-            ref = x_basis_closed_half(P.E, float(t))[0]
+            ref = solution_basis(P).x_pair(float(t))[0]
             assert np.abs(state - ref).max() < 1e-8
 
     def test_dual_generator_reproduces_y0(self):

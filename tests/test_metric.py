@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptdilate.dilation import assemble_dilated, tau_from_metric
 from ptdilate.errors import (
     DegenerateDenominatorError,
     InvalidMetricError,
@@ -28,6 +29,7 @@ from ptdilate.metric import (
     refined_d1_bound,
     validity,
 )
+from ptdilate.evolve import propagate_analytic
 from ptdilate.model import HamiltonianParams, hamiltonian
 from ptdilate.solutions import Representation, solution_basis
 
@@ -189,7 +191,7 @@ class TestRefinedBound:
 
     def test_guard_triggers_iff_d0_too_small(self):
         basis = solution_basis(P)
-        n1 = [float(np.vdot(basis.y1(t), basis.y1(t)).real) for t in np.linspace(0.0, 2.1, 2101)]
+        n1 = [float(np.vdot(basis.y_pair(t)[1], basis.y_pair(t)[1]).real) for t in np.linspace(0.0, 2.1, 2101)]
         n1_21, n1_max = n1[-1], max(n1)
         assert n1_max > n1_21 + 0.01
         with pytest.raises(DegenerateDenominatorError):
@@ -481,3 +483,43 @@ class TestGaugeDecompose:
         ms = metric(P, D_REF, 1.0)
         gauge = -0.5j * (np.linalg.inv(ms.eta) @ (0.0 * ms.eta_dot))
         np.testing.assert_allclose(gauge, np.zeros((2, 2)), atol=0)
+
+
+class TestEnergyIndependence:
+    # E enters the solutions only through the common phase e^{-iEt}, which
+    # cancels in eta: the metric layer never sees it, to the last bit
+    @pytest.mark.parametrize("omega", [0.37, 0.5])
+    def test_metric_layer_is_bitwise_independent_of_e(self, omega):
+        ts = np.linspace(0.05, 2.0, 40)
+
+        def outputs(E):
+            p = HamiltonianParams(E, omega)
+            ms = metric(p, D_REF, ts)
+            return (ms.eta, ms.eta_dot, ms.lambda_plus, ms.lambda_minus, *eigenvalues(p, D_REF, ts),
+                    tau_from_metric(ms))
+
+        ref = outputs(0.0)
+        for E in (1.0, -3.7, 50.0):
+            assert all(np.array_equal(a, b) for a, b in zip(outputs(E), ref)), E
+
+
+class TestBasisParameters:
+    # a basis for w = 1 handed to a call for w = 1/2 would build eta from one
+    # Hamiltonian and its derivative from the other
+    OTHER = solution_basis(HamiltonianParams(1.0, 1.0))
+
+    CALLS = {
+        "metric": lambda b: metric(P, D_REF, 1.0, b),
+        "eigenvalues": lambda b: eigenvalues(P, D_REF, 1.0, b),
+        "eta_evolution_residual": lambda b: eta_evolution_residual(P, D_REF, 1.0, b),
+        "breakdown_time": lambda b: breakdown_time(P, D_REF, 2.0, b),
+        "equal_d_bound": lambda b: equal_d_bound(P, (0.0, 1.0), b),
+        "assemble_dilated": lambda b: assemble_dilated(P, D_REF, 1.0, basis=b),
+        "propagate_analytic": lambda b: propagate_analytic(P, np.array([1.0, 0.0]), 0.0, 1.0, b),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_basis_for_other_parameters_rejected(self, call):
+        with pytest.raises(ValidationError, match="basis was built for"):
+            call(self.OTHER)
+        call(solution_basis(P))   # the matching basis is accepted

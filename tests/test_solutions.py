@@ -17,8 +17,6 @@ from ptdilate.solutions import (
     ode_residual,
     solution_basis,
     wronskian,
-    x_basis_closed_half,
-    x_basis_whittaker,
 )
 
 P_HALF = HamiltonianParams(E=1.0, omega=0.5)
@@ -37,30 +35,30 @@ def test_model_kappas():
 
 class TestClosedForm:
     def test_initial_vectors(self):
-        x0, x1 = x_basis_closed_half(1.0, 0.0)
+        x0, x1 = solution_basis(P_HALF).x_pair(0.0)
         np.testing.assert_allclose(x0, [1.0, 0.0], atol=0)
         np.testing.assert_allclose(x1, [0.0, 1.0], atol=0)
 
     def test_direct_substitution(self):
-        x0, _ = x_basis_closed_half(0.0, 1.0)
+        x0, _ = solution_basis(HamiltonianParams(E=0.0, omega=0.5)).x_pair(1.0)
         np.testing.assert_allclose(x0, math.exp(-0.25) * np.array([1.0, -1.0j]), rtol=1e-14)
 
     def test_x1_satisfies_ode(self):
-        res = ode_residual(P_HALF, lambda t: x_basis_closed_half(1.0, t)[1], 2.0)
+        res = ode_residual(P_HALF, lambda t: solution_basis(P_HALF).x_pair(t)[1], 2.0)
         assert res < 1e-8
 
     def test_x0_satisfies_ode(self):
-        res = ode_residual(P_HALF, lambda t: x_basis_closed_half(1.0, t)[0], 1.3)
+        res = ode_residual(P_HALF, lambda t: solution_basis(P_HALF).x_pair(t)[0], 1.3)
         assert res < 1e-8
 
     def test_horizon_guard(self):
         with pytest.raises(OverflowRangeError):
-            x_basis_closed_half(1.0, 6.5)
+            solution_basis(P_HALF).x_pair(6.5)
 
     def test_extended_precision_region_smooth(self):
         # no seam at t = 3, where delta once switched to extended precision
-        lo = x_basis_closed_half(1.0, 2.9999999)[1]
-        hi = x_basis_closed_half(1.0, 3.0000001)[1]
+        lo = solution_basis(P_HALF).x_pair(2.9999999)[1]
+        hi = solution_basis(P_HALF).x_pair(3.0000001)[1]
         np.testing.assert_allclose(lo, hi, rtol=1e-5)
 
     @pytest.mark.parametrize("t", [*np.linspace(-6.0, 6.0, 61), 3.001, 4.5, 5.75, 6.0])
@@ -72,14 +70,14 @@ class TestClosedForm:
             pref = mp.exp(-tm * tm / 4)
             gamma = complex(pref * -1j * mp.sqrt(2) * e)
             delta = float(pref * (mp.exp(tm * tm / 2) - mp.sqrt(2) * tm * e))
-        _, x1 = x_basis_closed_half(0.0, float(t))
+        _, x1 = solution_basis(HamiltonianParams(E=0.0, omega=0.5)).x_pair(float(t))
         assert abs(x1[0] - gamma) <= 1e-12 * abs(gamma)
         assert abs(x1[1] - delta) <= 1e-12 * abs(delta)
 
     @settings(max_examples=200, deadline=None)
     @given(t=st.floats(-6.0, 6.0))
     def test_wronskian_is_one(self, t):
-        x0, x1 = x_basis_closed_half(1.0, t)
+        x0, x1 = solution_basis(P_HALF).x_pair(t)
         det = (x0[0] * x1[1] - x0[1] * x1[0]) * cmath.exp(2j * t)
         assert abs(det - 1.0) <= 1e-12
 
@@ -89,7 +87,7 @@ class TestClosedForm:
         # |x1| grows to ~1400 at t = 6, and the central difference's error
         # with it, so the residual is measured relative to max(1, |x(t)|)
         for idx in (0, 1):
-            v = lambda s: x_basis_closed_half(1.0, s)[idx]
+            v = lambda s: solution_basis(P_HALF).x_pair(s)[idx]
             scale = max(1.0, float(np.linalg.norm(v(t))))
             assert ode_residual(P_HALF, v, t) / scale < 1e-8
 
@@ -97,30 +95,30 @@ class TestClosedForm:
 class TestWhittakerBasis:
     def test_component_ratio_matches_closed_form(self):
         # beta/alpha = -i t in the closed form; ratios are normalization-free
-        x0, _ = x_basis_whittaker(P_HALF, 1.0)
+        x0, _ = solution_basis(P_HALF, Representation.WHITTAKER_GENERAL).x_pair(1.0)
         assert x0[1] / x0[0] == pytest.approx(-1.0j, rel=1e-9)
 
     def test_upper_component_value(self):
-        x0, _ = x_basis_whittaker(HamiltonianParams(E=0.0, omega=0.5), 2.0)
+        x0, _ = solution_basis(HamiltonianParams(E=0.0, omega=0.5), Representation.WHITTAKER_GENERAL).x_pair(2.0)
         assert x0[0] == pytest.approx(2.0**-0.25 * math.exp(-1.0), rel=1e-9)
 
     def test_both_vectors_satisfy_ode(self):
         p = HamiltonianParams(E=1.0, omega=1.0)
         for idx in (0, 1):
-            res = ode_residual(p, lambda t: x_basis_whittaker(p, t)[idx], 0.5)
+            res = ode_residual(p, lambda t: solution_basis(p).x_pair(t)[idx], 0.5)
             assert res < 1e-8
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
-            x_basis_whittaker(P_HALF, -0.1)
+            solution_basis(P_HALF, Representation.WHITTAKER_GENERAL).x_pair(-0.1)
 
     def test_small_time_limit_finite_and_continuous(self):
-        tiny = x_basis_whittaker(P_HALF, 0.0)
+        tiny = solution_basis(P_HALF, Representation.WHITTAKER_GENERAL).x_pair(0.0)
         assert np.isfinite(tiny[0]).all() and np.isfinite(tiny[1]).all()
         # below t = 1e-3 the amplitude is frozen, so components of size O(t)
         # carry an absolute error of that order; the O(1) ones stay tight
-        just_below = x_basis_whittaker(P_HALF, 9e-4)
-        just_above = x_basis_whittaker(P_HALF, 1.1e-3)
+        just_below = solution_basis(P_HALF, Representation.WHITTAKER_GENERAL).x_pair(9e-4)
+        just_above = solution_basis(P_HALF, Representation.WHITTAKER_GENERAL).x_pair(1.1e-3)
         np.testing.assert_allclose(just_below[0], just_above[0], rtol=2e-3, atol=3e-4)
         np.testing.assert_allclose(just_below[1], just_above[1], rtol=2e-3, atol=3e-4)
 
@@ -188,8 +186,8 @@ class TestRepresentationConsistency:
         whittaker = solution_basis(P_HALF, Representation.WHITTAKER_GENERAL)
         expected = 2.0**-0.25
         for t in np.linspace(0.2, 4.0, 20):
-            xc = closed.x0(float(t))
-            xw = whittaker.x0(float(t))
+            xc = closed.x_pair(float(t))[0]
+            xw = whittaker.x_pair(float(t))[0]
             np.testing.assert_allclose(xw, expected * xc, rtol=1e-8)
 
     def test_x1_decomposition_is_time_independent(self):
@@ -202,8 +200,8 @@ class TestRepresentationConsistency:
         whittaker = solution_basis(P_HALF, Representation.WHITTAKER_GENERAL)
 
         def coeffs(t):
-            A = np.column_stack([closed.x0(t), closed.x1(t)])
-            return np.linalg.solve(A, whittaker.x1(t))
+            A = np.column_stack(closed.x_pair(t))
+            return np.linalg.solve(A, whittaker.x_pair(t)[1])
 
         ref = coeffs(1.0)
         assert abs(ref[1]) > 0.1
@@ -242,6 +240,6 @@ class TestLargeTimeShape:
             pref = cmath.exp(-1j * p.E * t - 0.5 * w * t * t) * w ** (-0.25 + 1.0 / (4 * w)) * t ** (1.0 / (2 * w) - 1.0)
             return np.array([pref, pref * (-2j * w * t)])
 
-        r5 = basis.x0(5.0) / form(5.0)
-        r6 = basis.x0(6.0) / form(6.0)
+        r5 = basis.x_pair(5.0)[0] / form(5.0)
+        r6 = basis.x_pair(6.0)[0] / form(6.0)
         np.testing.assert_allclose(r5, r6, rtol=0.05)

@@ -5,7 +5,8 @@
 
 `run` executes every invocation below in a fresh interpreter that imports
 `ptdilate` from SRC (default: this checkout's `src/`), each into its own
-subdirectory of OUT, and records the exit codes in OUT/exit_codes.json.
+subdirectory of OUT, and records the exit codes in OUT/exit_codes.json
+and each invocation's stderr in OUT/stderr.json.
 Pointing SRC at another checkout's `src/` gives the outputs of that
 version on the same inputs.
 
@@ -69,7 +70,7 @@ INVOCATIONS = [
 def run(out: Path, src: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src))
-    codes = {}
+    codes, stderr = {}, {}
     for name, argv, scenario in INVOCATIONS:
         target = out / name
         target.mkdir(exist_ok=True)
@@ -79,9 +80,10 @@ def run(out: Path, src: Path) -> None:
             path.write_text(json.dumps(scenario), encoding="utf-8")
             args += ["--scenario", str(path)]
         proc = subprocess.run(args, env=env, capture_output=True, text=True)
-        codes[name] = proc.returncode
+        codes[name], stderr[name] = proc.returncode, proc.stderr
         print(f"{name}: exit {proc.returncode}", proc.stderr.strip(), flush=True)
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+    (out / "stderr.json").write_text(json.dumps(stderr, indent=2) + "\n", encoding="utf-8")
 
 
 def _table(path: Path) -> tuple[list[str], list[list[str]]]:
