@@ -40,7 +40,6 @@ from .metric import (
     eigenvalues,
     equal_d_bound,
     eta_evolution_residual,
-    gauge_decompose,
     metric,
     metric_asymptotics,
     refined_d1_bound,
@@ -49,20 +48,15 @@ from .metric import (
 from .model import (
     HamiltonianParams,
     PhaseLabel,
-    PTStructure,
     Spectrum,
     SIGMA_X,
-    ep_time,
     hamiltonian,
     instantaneous_spectrum,
-    intertwining_residual,
-    pt_symmetry_residual,
 )
 from .solutions import (
     Representation,
     SolutionBasis,
     model_kappas,
-    ode_residual,
     solution_basis,
     wronskian,
 )

@@ -54,10 +54,13 @@ MAX_GRID_POINTS = 10**6     # largest (t_end - t_start) / grid_step, or / max_st
 
 
 def _as_float(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:   # an integer past double range
+            pass
+    raise ValidationError(f"{key} must be a number, got {value!r}")
 
 
 @dataclass

@@ -50,7 +50,6 @@ __all__ = [
     "refined_d1_bound",
     "breakdown_time",
     "metric_asymptotics",
-    "gauge_decompose",
 ]
 
 VALIDITY_TOL = 1e-12        # lam_minus >= 1 - this counts as valid
@@ -382,18 +381,3 @@ def metric_asymptotics(
         raise OverflowRangeError(f"asymptotic lam_plus exceeds double range at t = {t}")
     return lam_p, lam_m
 
-
-def gauge_decompose(
-    p: HamiltonianParams,
-    d: DilationParams,
-    t: float,
-    basis: SolutionBasis | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split H = h_pt + gauge with gauge = -(i/2) eta^-1 eta_dot.
-
-    h_pt is eta-pseudo-Hermitian: h_pt^dag eta = eta h_pt up to rounding.
-    """
-    ms = metric(p, d, t, basis)
-    gauge = -0.5j * (np.linalg.inv(ms.eta) @ ms.eta_dot)
-    h_pt = hamiltonian(p, t) - gauge
-    return h_pt, gauge

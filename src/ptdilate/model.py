@@ -1,4 +1,4 @@
-"""The swept two-level Hamiltonian, its spectrum and PT structure.
+"""The swept two-level Hamiltonian and its spectrum.
 
 H(t) = [[E + i w t, 1], [1, E - i w t]] with real E and sweep rate w > 0.
 Parity is sigma_x, time reversal is complex conjugation.  The instantaneous
@@ -7,7 +7,7 @@ eigenvalues E +- sqrt(1 - (w t)^2) coalesce at w t = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -18,14 +18,10 @@ from .errors import ValidationError
 __all__ = [
     "SIGMA_X",
     "HamiltonianParams",
-    "PTStructure",
     "PhaseLabel",
     "Spectrum",
     "hamiltonian",
     "instantaneous_spectrum",
-    "ep_time",
-    "pt_symmetry_residual",
-    "intertwining_residual",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -43,18 +39,6 @@ class HamiltonianParams:
     def __post_init__(self):
         if not self.omega > 0.0:
             raise ValidationError(f"omega must be positive, got {self.omega}")
-
-
-@dataclass(frozen=True)
-class PTStructure:
-    """Parity matrix plus the conjugation marker for time reversal."""
-
-    parity: np.ndarray = field(default_factory=lambda: SIGMA_X.copy())
-    time_reversal: str = "complex conjugation"
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        """(PT) M (PT)^-1 for a matrix acting on the two-level space."""
-        return self.parity @ np.conj(matrix) @ self.parity
 
 
 class PhaseLabel(Enum):
@@ -87,19 +71,3 @@ def instantaneous_spectrum(p: HamiltonianParams, t: float) -> Spectrum:
     root = 1j * np.sqrt(-s)
     return Spectrum(p.E + root, p.E - root, PhaseLabel.BROKEN)
 
-
-def ep_time(p: HamiltonianParams) -> float:
-    """Time of the exceptional point, w t = 1."""
-    return 1.0 / p.omega
-
-
-def pt_symmetry_residual(p: HamiltonianParams, t: float) -> float:
-    """Max-entry magnitude of (PT) H (PT)^-1 - H; zero up to rounding."""
-    H = hamiltonian(p, t)
-    return float(np.abs(SIGMA_X @ np.conj(H) @ SIGMA_X - H).max())
-
-
-def intertwining_residual(p: HamiltonianParams, t: float) -> float:
-    """Max-entry magnitude of sigma_x H - H^dag sigma_x; zero up to rounding."""
-    H = hamiltonian(p, t)
-    return float(np.abs(SIGMA_X @ H - H.conj().T @ SIGMA_X).max())

@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
 from scipy.special import dawsn
 
 from .errors import DomainError, OverflowRangeError, ValidationError
-from .model import HamiltonianParams, hamiltonian
+from .model import HamiltonianParams
 from .specfun import (
     Ray,
     _erfi_series_mp,
@@ -50,13 +49,14 @@ __all__ = [
     "solution_basis",
     "model_kappas",
     "wronskian",
-    "ode_residual",
 ]
 
 MU = 0.25                   # second Whittaker index of the model
 T_SMALL = 1e-3              # below this the Whittaker basis uses the sqrt(t) limit
 CLOSED_FORM_T_MAX = 6.0     # closed-form horizon without rescaling
-RESIDUAL_STEP_SCALE = 1e-6  # finite-difference step is this times max(1, |t|)
+# x0(0) carries 1/Gamma(1 - 1/(4 w)), of size about Gamma(1/(4 w)), which
+# is past double range once 1/(4 w) exceeds 171.62 (Gamma(171.62) ~ 1.8e308)
+WHITTAKER_OMEGA_MIN = 1.0 / (4.0 * 171.62)
 
 
 def model_kappas(omega: float) -> tuple[float, float]:
@@ -133,6 +133,8 @@ def _whittaker_amplitudes(omega: float, ts: np.ndarray) -> np.ndarray:
     mpmath evaluation per time point (the one at T_SMALL for t <= T_SMALL)."""
     if ts.min() < 0.0:
         raise DomainError("Whittaker basis supports t >= 0 only")
+    if omega < WHITTAKER_OMEGA_MIN:
+        raise OverflowRangeError(f"Whittaker basis exceeds double range for omega < {WHITTAKER_OMEGA_MIN:.4g}")
     x = np.array([_whittaker_pair_raw(omega, float(s)) for s in ts]).T.reshape(2, 2, -1)
     bad = ~np.isfinite(x).all(axis=(0, 1))
     if bad.any():
@@ -231,20 +233,3 @@ def wronskian(basis: SolutionBasis, t: float) -> complex:
     det = x0[0] * x1[1] - x0[1] * x1[0]
     return det * cmath.exp(2j * basis.params.E * t)
 
-
-def ode_residual(
-    p: HamiltonianParams,
-    v: Callable[[float], np.ndarray],
-    t: float,
-    dual: bool = False,
-) -> float:
-    """Max component magnitude of i v'(t) - M v(t), M = H or H^dag.
-
-    The derivative is a central difference with step 1e-6 * max(1, |t|).
-    """
-    h = RESIDUAL_STEP_SCALE * max(1.0, abs(t))
-    v_dot = (np.asarray(v(t + h), dtype=complex) - np.asarray(v(t - h), dtype=complex)) / (2.0 * h)
-    H = hamiltonian(p, t)
-    M = H.conj().T if dual else H
-    residual = 1j * v_dot - M @ np.asarray(v(t), dtype=complex)
-    return float(np.abs(residual).max())

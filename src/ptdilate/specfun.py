@@ -10,10 +10,10 @@ Kummer's M with mpmath's compiled hypergeometric series kernel
 or, for a terminating series, exactly zero.  Whittaker values are computed
 in mpmath working precision sized to the argument and kappa, because the
 connection formula cancels like e^z |z|^{-2 kappa} on the positive ray,
-then rounded to a Python complex on return; past magnitude 50 (more for
-kappa < -1.25) the large-argument expansion takes over.  The rotated ray
-(argument e^{i pi} * z) is kept symbolic through the `Ray` enum so that
-fractional powers never see a floating-point branch ambiguity.
+then rounded to a Python complex on return; past magnitude 50 mpmath's
+`whitw` takes over at the caller's precision, capped at 35 digits.  The
+rotated ray (argument e^{i pi} * z) is kept symbolic through the `Ray` enum
+so that fractional powers never see a floating-point branch ambiguity.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ __all__ = [
     "hermite_poly",
 ]
 
-# Magnitude above which whittaker_w goes asymptotic (`_asym_crossover`).  The
-# optimally truncated expansion is off by ~e^{-|z|} |z|^{-2 kappa} relative
-# on either ray, so the crossover grows as kappa falls: errors reach the
-# rounding level from magnitude 48 for kappa >= -1.25 and from about
-# 42 - 6 kappa below that, up to -kappa = 10 (tools/whittaker_crossover.py).
-KAPPA_FLOOR = -1.25         # lowest kappa the base crossover and series precision cover
-ASYM_CROSSOVER = 50.0       # for kappa >= KAPPA_FLOOR
-ASYM_CROSSOVER_SLOPE = 6.0  # added magnitude per unit of kappa below KAPPA_FLOOR
+# Magnitude above which whittaker_w calls mpmath's `whitw`; both paths are
+# accurate on either side.  From 50 to 65 either can be twice as fast,
+# depending on kappa; beyond, the series' precision grows and `whitw` is
+# faster, 100x at 699 (tools/whittaker_crossover.py).
+ASYM_CROSSOVER = 50.0
+KAPPA_FLOOR = -1.25         # below this kappa the series needs extra digits
 ZERO_PREC_FACTOR = 8        # hyp1f1 sums cancelling past 8x the working bits are zero
 ERFI_MAX_ARG = 20.0         # erfi exceeds double range beyond this
 HERMITE_MAX_DEGREE = 50
@@ -136,32 +134,15 @@ def _whittaker_series_mp(kappa, mu, magnitude, ray):
         return out
 
 
-def _whittaker_asym_mp(kappa, mu, magnitude, ray, min_terms=3, max_terms=60):
-    """Large-argument expansion e^{-z/2} z^kappa (1 + sum_s a_s / z^s).
-
-    Adds at least the first three corrections, then keeps going until the
-    terms stop shrinking (optimal truncation) or become negligible.
-    """
-    with mp.workdps(35):
-        kap = mp.mpf(kappa)
-        muu = mp.mpf(mu)
-        mag = mp.mpf(magnitude)
-        z = mp.mpc(-mag) if ray is Ray.ROTATED else mp.mpc(mag)
-        power = mag ** kap
-        if ray is Ray.ROTATED:
-            power *= mp.exp(1j * mp.pi * kap)
-        total = mp.mpc(1)
-        term = mp.mpc(1)
-        prev = None
-        for s in range(1, max_terms + 1):
-            term = term * (muu**2 - (kap - s + mp.mpf("0.5")) ** 2) / (s * z)
-            if s > min_terms and prev is not None and abs(term) > prev:
-                break
-            total += term
-            prev = abs(term)
-            if abs(term) < mp.mpf("1e-25") * abs(total):
-                break
-        return mp.exp(-z / 2) * power * total
+def _whittaker_asym_mp(kappa, mu, magnitude, ray):
+    """W_{kappa,mu} from mpmath's `whitw`; returns an mpc.  Its U sums the
+    large-argument 2F0 series, checks that it converged and otherwise falls
+    back to the connection formula (`zeroprec` as in `_hyp1f1`).  At most 35
+    digits: at the hundreds an extended-precision caller asks for, the series
+    never converges and the fallback is up to 100x slower."""
+    with mp.workdps(min(mp.mp.dps, 35)):
+        z = mp.mpc(-magnitude, 0) if ray is Ray.ROTATED else mp.mpf(magnitude)
+        return mp.whitw(kappa, mu, z, zeroprec=ZERO_PREC_FACTOR * mp.mp.prec)
 
 
 def _as_finite_complex(value) -> complex:
@@ -171,15 +152,10 @@ def _as_finite_complex(value) -> complex:
     return out
 
 
-def _asym_crossover(kappa: float) -> float:
-    """Magnitude beyond which W_{kappa,mu} comes from the asymptotic expansion."""
-    return ASYM_CROSSOVER + ASYM_CROSSOVER_SLOPE * max(0.0, KAPPA_FLOOR - kappa)
-
-
 def _whittaker_mp(kappa, mu, magnitude, ray):
-    """W_{kappa,mu} as an mpc: connection formula up to `_asym_crossover`,
-    asymptotic expansion beyond."""
-    if magnitude > _asym_crossover(kappa):
+    """W_{kappa,mu} as an mpc: connection formula up to ASYM_CROSSOVER,
+    mpmath's `whitw` beyond."""
+    if magnitude > ASYM_CROSSOVER:
         return _whittaker_asym_mp(kappa, mu, magnitude, ray)
     return _whittaker_series_mp(kappa, mu, magnitude, ray)
 
@@ -187,10 +163,9 @@ def _whittaker_mp(kappa, mu, magnitude, ray):
 def whittaker_w(idx: WhittakerIndex, z: RayArgument) -> complex:
     """Whittaker W_{kappa,mu} at magnitude * e^{0 or i pi}.
 
-    Uses the M-series connection formula up to `_asym_crossover(kappa)`
-    (50 for kappa >= -1.25) and the corrected asymptotic expansion beyond.
-    magnitude = 0 is rejected; callers handle the small-argument limit
-    themselves.
+    Uses the M-series connection formula up to magnitude ASYM_CROSSOVER = 50
+    and mpmath's `whitw` beyond.  magnitude = 0 is rejected; callers handle
+    the small-argument limit themselves.
     """
     if z.magnitude <= 0.0:
         raise DomainError("whittaker_w needs magnitude > 0 (use the small-t limit path)")

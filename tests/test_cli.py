@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,13 @@ class TestScenario:
             ({"initial_state": 5}, []),
             ({"tolerances": {"rel_tol": "x"}}, []),
             ({"tolerances": {"abs_tol": math.nan}}, []),
+            # JSON booleans and strings are not numbers
+            ({"omega": True}, []),
+            ({"d0_sq": "3"}, []),
+            ({"initial_state": [True, 0, 0, 0]}, []),
+            ({"initial_state": ["1", 0, 0, 0]}, []),
+            ({"tolerances": {"rel_tol": True}}, []),
+            ({"tolerances": {"max_step": "0.1"}}, []),
             ({}, ["--grid-step", "nan"]),
             ({}, ["--grid-step", "1e-12"]),
         ],
@@ -161,6 +169,15 @@ class TestMetricScanCommand:
     def test_overflow_horizon_exit_code(self, tmp_path):
         scn = _write_scenario(tmp_path / "s.json", t_end=7.0)
         assert main(["metric-scan", "--scenario", scn, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("omega", [1e-300, 1e-60])
+    def test_tiny_omega_refused_at_once(self, tmp_path, omega):
+        # x0(0) carries 1/Gamma(1 - 1/(4 w)), past double range for such w:
+        # refused before any mpmath series in kappa ~ 1/(4 w) is summed
+        scn = _write_scenario(tmp_path / "s.json", omega=omega, t_end=1.0, grid_step=0.5)
+        start = time.perf_counter()
+        assert main(["metric-scan", "--scenario", scn, "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBoundsCommand:
@@ -419,7 +436,7 @@ def _scenarios(draw):
             {"grid_step": st.floats(6e-3, 1.0)},
             optional={
                 "E": st.floats(-5.0, 5.0),
-                "omega": st.floats(1e-3, 3.0),
+                "omega": st.floats(1e-300, 3.0),
                 "d0_sq": st.floats(0.0, 500.0),
                 "d1_sq": st.floats(0.0, 500.0),
                 "t_start": st.floats(-2.0, 2.0),
@@ -449,8 +466,10 @@ def _scenarios(draw):
 @settings(max_examples=150, deadline=None)
 @given(payload=st.one_of(_scenarios(), _JUNK))
 def test_any_scenario_json_maps_to_an_exit_code(payload):
-    """The exit-code contract: every scenario file gives 0, 2 or 3."""
+    """The exit-code contract: every scenario file gives 0, 2 or 3, also on
+    a coarse grid of the command that evaluates the solution basis."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["spectrum", "--scenario", str(path), "--out", tmp]) in (0, 2, 3)
+        assert main(["metric-scan", "--scenario", str(path), "--out", tmp, "--grid-step", "1.0"]) in (0, 2, 3)

@@ -23,14 +23,13 @@ from ptdilate.metric import (
     eigenvalues,
     equal_d_bound,
     eta_evolution_residual,
-    gauge_decompose,
     metric,
     metric_asymptotics,
     refined_d1_bound,
     validity,
 )
 from ptdilate.evolve import propagate_analytic
-from ptdilate.model import HamiltonianParams, hamiltonian
+from ptdilate.model import HamiltonianParams
 from ptdilate.solutions import Representation, solution_basis
 
 # the package re-exports the function `metric`, which shadows the module name
@@ -460,29 +459,6 @@ class TestAsymptotics:
         asym_p, asym_m = metric_asymptotics(P, D_REF, 6.0)
         assert 0.8 <= lam_p / asym_p <= 1.2
         assert 0.8 <= lam_m / asym_m <= 1.2
-
-
-class TestGaugeDecompose:
-    def test_pseudo_hermiticity(self):
-        for t in (1.0, 3.0):
-            ms = metric(P, D_REF, t)
-            h_pt, gauge = gauge_decompose(P, D_REF, t)
-            residual = np.abs(h_pt.conj().T @ ms.eta - ms.eta @ h_pt).max()
-            scale = np.abs(ms.eta).max() * np.abs(h_pt).max()
-            assert residual <= 1e-8 * scale
-
-    def test_reconstruction_identity(self):
-        h_pt, gauge = gauge_decompose(P, D_REF, 3.0)
-        H = hamiltonian(P, 3.0)
-        np.testing.assert_allclose(h_pt + gauge, H, atol=1e-12 * np.abs(H).max())
-
-    def test_stationary_metric_means_zero_gauge(self):
-        # at any point where eta_dot vanished the gauge term would vanish;
-        # verified through the algebraic identity gauge = H - h_pt applied
-        # to a rescaled eta_dot
-        ms = metric(P, D_REF, 1.0)
-        gauge = -0.5j * (np.linalg.inv(ms.eta) @ (0.0 * ms.eta_dot))
-        np.testing.assert_allclose(gauge, np.zeros((2, 2)), atol=0)
 
 
 class TestEnergyIndependence:

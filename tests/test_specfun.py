@@ -15,10 +15,10 @@ from ptdilate.errors import (
     ValidationError,
 )
 from ptdilate.specfun import (
+    ASYM_CROSSOVER,
     Ray,
     RayArgument,
     WhittakerIndex,
-    _asym_crossover,
     _erfi_series_mp,
     _hyp1f1,
     _whittaker_asym_mp,
@@ -157,11 +157,10 @@ class TestWhittakerW:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("ray", [Ray.POSITIVE, Ray.ROTATED])
     def test_against_mpmath_whitw(self, omega, which, sign, ray):
-        # magnitudes straddle 30, where the asymptotic form is up to 1e-10
-        # off, and the crossover at 50, where it is still 1.9e-8 off for
-        # kappa = -5.25 (omega = 0.05); an exact zero must stay exact
+        # magnitudes straddle 30 and the crossover at 50, then reach the
+        # Whittaker horizon, w t^2 = 700; an exact zero must stay exact
         kappa = sign * (1.0 / (4.0 * omega) + (-0.25 if which == "kappa" else 0.25))
-        for mag in (0.5, 5.0, 12.0, 29.9, 30.01, 30.5, 33.0, 37.0, 45.0, 49.9, 50.01, 55.0):
+        for mag in (0.5, 5.0, 12.0, 29.9, 30.01, 30.5, 33.0, 37.0, 45.0, 49.9, 50.01, 55.0, 80.0, 200.0, 699.0):
             value = whittaker_w(WhittakerIndex(kappa), RayArgument(mag, ray))
             ref = _whitw_oracle(kappa, mag, ray)
             assert abs(value - ref) <= 1e-13 * abs(ref), (mag, value, ref)
@@ -169,10 +168,10 @@ class TestWhittakerW:
     @pytest.mark.parametrize("omega", [0.03, 0.05, 0.1, 0.15])
     @pytest.mark.parametrize("ray", [Ray.POSITIVE, Ray.ROTATED])
     def test_crossover_follows_kappa(self, omega, ray):
-        # either side of the kappa-dependent crossover for the negative
-        # indices, whose asymptotic error grows like |z|^{-2 kappa}
+        # either side of the crossover, which is one magnitude for every
+        # kappa, also for the strongly negative indices of small omega
         for kappa in (0.25 - 1.0 / (4.0 * omega), -0.25 - 1.0 / (4.0 * omega)):
-            for mag in (_asym_crossover(kappa) - 0.01, _asym_crossover(kappa) + 0.01):
+            for mag in (ASYM_CROSSOVER - 0.01, ASYM_CROSSOVER + 0.01):
                 value = whittaker_w(WhittakerIndex(kappa), RayArgument(mag, ray))
                 ref = _whitw_oracle(kappa, mag, ray)
                 assert abs(value - ref) <= 1e-13 * abs(ref), (kappa, mag, value, ref)
