@@ -159,18 +159,19 @@ class Scenario:
         return _grid(self.t_start, self.t_end, self.grid_step)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, lines) -> None:
+    """Write the strings of an iterable one after another, as they come."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
     print(f"wrote {path}")
 
 
 def _write_csv(path: Path, columns: dict) -> None:
-    """One line per row of the named, equally long columns, in the dict's order."""
-    lines = [",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """One line per row of the named, equally long columns, in the dict's
+    order: string cells as they are, numbers formatted as `_fmt` does."""
+    row = ",".join("%s" if isinstance(next(iter(c), None), str) else "%.11e" for c in columns.values())
+    _write_text(path, [",".join(columns) + "\n", *(row % r + "\n" for r in zip(*columns.values()))])
 
 
 def _re_im(columns: dict) -> dict:
@@ -183,7 +184,7 @@ def _re_im(columns: dict) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def cmd_spectrum(scn: Scenario, out: Path) -> None:
@@ -250,9 +251,8 @@ def cmd_dilate(scn: Scenario, out: Path) -> None:
     p, d = scn.params, scn.dparams
     basis = solution_basis(p)
     grid = scn.grid()
-    dhs = [assemble_dilated(p, d, float(t), scn.mode, basis) for t in grid]
-    tau = np.array([dh.tau for dh in dhs])   # [[d + c, a - i b], [a + i b, d - c]]
-    hh = np.array([dh.hh for dh in dhs])
+    dh = assemble_dilated(p, d, grid, scn.mode, basis)
+    tau, hh = dh.tau, dh.hh   # tau = [[d + c, a - i b], [a + i b, d - c]]
     t00, t11 = tau[:, 0, 0].real, tau[:, 1, 1].real
     _write_csv(out / "dilate.csv", {
         "t": grid,

@@ -24,7 +24,8 @@ The dilated generator is assembled from the two exact block conditions
 h1 + h2 tau = H and h2^dag + h4 tau = i tau' + tau H; h4 is a gauge choice
 (Hermitian part of H, or the mirror choice h4 = [H + (i tau' + tau H) tau]
 eta^-1, which equals H + h2^dag tau).  Past breakdown h1 picks up a nonzero
-Hermiticity defect.
+Hermiticity defect.  `assemble_dilated` takes a float or a 1-D array of
+times, as `metric` does; over n times every block is an (n, ., .) stack.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import InvalidMetricError, NearBreakdownError
 from .metric import VALIDITY_TOL, DilationParams, MetricState, metric
 from .model import HamiltonianParams, hamiltonian
-from .solutions import SolutionBasis
+from .solutions import SolutionBasis, _on_time_axis
 
 __all__ = [
     "H4Mode",
@@ -61,7 +62,8 @@ class H4Mode(Enum):
 @dataclass
 class DilatedHamiltonian:
     """Blocks and assembled 4x4 generator [[h1, h2], [h2^dag, h4]], with
-    the tau they were built from."""
+    the tau they were built from; over n times each matrix is an (n, ., .)
+    stack and h4_residual is the largest over the times."""
 
     h1: np.ndarray
     h2: np.ndarray
@@ -89,11 +91,16 @@ def _root(ms: MetricState):
     return eye, A, s, two_d, tau
 
 
+def _first_flagged(ms: MetricState, flags) -> tuple:
+    """(lambda_minus, t) at the first flagged time of a state at one or n times."""
+    k = np.argmax(flags)
+    return np.ravel(ms.lambda_minus)[k], np.ravel(ms.t)[k]
+
+
 def _require_valid(ms: MetricState) -> None:
     invalid = ms.lambda_minus < 1.0 - VALIDITY_TOL
     if np.any(invalid):
-        k = np.argmax(invalid)
-        lam_m, t = np.ravel(ms.lambda_minus)[k], np.ravel(ms.t)[k]
+        lam_m, t = _first_flagged(ms, invalid)
         raise InvalidMetricError(f"lambda_minus = {lam_m} < 1 at t = {t}; no Hermitian root")
 
 
@@ -105,9 +112,11 @@ def tau_from_metric(ms: MetricState) -> np.ndarray:
 
 
 def _tau_dot(ms: MetricState, root) -> np.ndarray:
-    if abs(ms.lambda_minus - 1.0) < TAU_DOT_GUARD:
+    near = abs(ms.lambda_minus - 1.0) < TAU_DOT_GUARD
+    if np.any(near):
+        lam_m, t = _first_flagged(ms, near)
         raise NearBreakdownError(
-            f"lambda_minus - 1 = {ms.lambda_minus - 1.0:.3e} at t = {ms.t}; "
+            f"lambda_minus - 1 = {lam_m - 1.0:.3e} at t = {t}; "
             "the square root is not differentiable at the breakdown point"
         )
     eye, A, s, two_d, tau = root
@@ -131,17 +140,24 @@ def tau_derivative(
     return _tau_dot(ms, _root(ms))
 
 
-def _h4_from_pieces(mode, H, eta, tau, tau_dot):
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _h4_from_pieces(mode, H, eta, tau, tau_dot, ts):
+    """h4 and its largest relative Hermiticity residual over the (n, 2, 2)
+    stacks at the times ts."""
     if mode is H4Mode.HERMITIAN_PART:
-        return 0.5 * (H + H.conj().T), 0.0
+        return 0.5 * (H + _adjoint(H)), 0.0
     h4 = (H + (1j * tau_dot + tau @ H) @ tau) @ np.linalg.inv(eta)
-    residual = float(np.abs(h4 - h4.conj().T).max() / max(1.0, np.abs(h4).max()))
-    if residual > H4_HERMITICITY_TOL:
+    residuals = np.abs(h4 - _adjoint(h4)).max(axis=(1, 2)) / np.maximum(1.0, np.abs(h4).max(axis=(1, 2)))
+    k = int(np.argmax(residuals))
+    if residuals[k] > H4_HERMITICITY_TOL:
         warnings.warn(
-            f"mirror h4 deviates from Hermiticity by {residual:.3e} at this point",
-            stacklevel=2,
+            f"mirror h4 deviates from Hermiticity by {residuals[k]:.3e} at t = {ts[k]}",
+            stacklevel=3,
         )
-    return h4, residual
+    return h4, float(residuals[k])
 
 
 def _blocks(H, tau, tau_dot, h4):
@@ -149,19 +165,19 @@ def _blocks(H, tau, tau_dot, h4):
     the two block conditions; no adjoint of tau enters, so the same blocks
     serve the principal root past breakdown."""
     h2_dag = 1j * tau_dot + tau @ H - h4 @ tau
-    h2 = h2_dag.conj().T
+    h2 = _adjoint(h2_dag)
     h1 = H - h2 @ tau
-    hh = np.empty((4, 4), dtype=complex)
-    hh[:2, :2], hh[:2, 2:], hh[2:, :2], hh[2:, 2:] = h1, h2, h2_dag, h4
+    hh = np.empty(H.shape[:-2] + (4, 4), dtype=complex)
+    hh[..., :2, :2], hh[..., :2, 2:], hh[..., 2:, :2], hh[..., 2:, 2:] = h1, h2, h2_dag, h4
     return h1, h2, hh
 
 
 def _assemble(ms: MetricState, mode: H4Mode) -> DilatedHamiltonian:
+    """Generator over the 1-D time axis of ms, as (n, ., .) stacks."""
     root = _root(ms)
-    tau = root[-1]
-    tau_dot = _tau_dot(ms, root)
+    tau, tau_dot = (np.moveaxis(m, -1, 0) for m in (root[-1], _tau_dot(ms, root)))
     H = hamiltonian(ms.params, ms.t)
-    h4, h4_residual = _h4_from_pieces(mode, H, ms.eta, tau, tau_dot)
+    h4, h4_residual = _h4_from_pieces(mode, H, np.moveaxis(ms.eta, -1, 0), tau, tau_dot, ms.t)
     h1, h2, hh = _blocks(H, tau, tau_dot, h4)
     return DilatedHamiltonian(h1=h1, h2=h2, h4=h4, hh=hh, h4_residual=h4_residual, tau=tau)
 
@@ -169,14 +185,18 @@ def _assemble(ms: MetricState, mode: H4Mode) -> DilatedHamiltonian:
 def assemble_dilated(
     p: HamiltonianParams,
     d: DilationParams,
-    t: float,
+    t,
     mode: H4Mode = H4Mode.HERMITIAN_PART,
     basis: SolutionBasis | None = None,
 ) -> DilatedHamiltonian:
-    """4x4 generator of the embedded evolution at time t (valid metric)."""
-    ms = metric(p, d, t, basis)
+    """4x4 generator of the embedded evolution at t, a float or a 1-D
+    array of n times (valid metric); hh has shape (4, 4) or (n, 4, 4)."""
+    ms = metric(p, d, _on_time_axis(t)[0], basis)
     _require_valid(ms)
-    return _assemble(ms, mode)
+    dh = _assemble(ms, mode)
+    if np.ndim(t) == 0:
+        return DilatedHamiltonian(dh.h1[0], dh.h2[0], dh.h4[0], dh.hh[0], dh.h4_residual, dh.tau[0])
+    return dh
 
 
 def hermiticity_defect(
@@ -188,5 +208,5 @@ def hermiticity_defect(
     """||h1 - h1^dag||_max at time t, on either side of breakdown.  The h4
     terms cancel in h1 - h1^dag for every Hermitian h4, so the Hermitian
     part of H serves."""
-    h1 = _assemble(metric(p, d, t, basis), H4Mode.HERMITIAN_PART).h1
+    h1 = _assemble(metric(p, d, _on_time_axis(t)[0], basis), H4Mode.HERMITIAN_PART).h1[0]
     return float(np.abs(h1 - h1.conj().T).max())

@@ -54,6 +54,7 @@ __all__ = [
 
 VALIDITY_TOL = 1e-12        # lam_minus >= 1 - this counts as valid
 SCAN_STEP = 1e-3            # grid step of every scan
+SCAN_CHUNK = 1000           # breakdown-scan points evaluated per pass
 BISECT_XTOL = 1e-9          # breakdown-time bisection width
 ASYM_MIN_Z = 10.0           # w t^2 floor of the large-time eigenvalue forms
 
@@ -308,28 +309,39 @@ def refined_d1_bound(
 def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
     """First t in (t_lo, t_hi] where lam_minus crosses one, or None.  Where
     l leaves double range lam_minus reads as 0, since it is below
-    2 |D0 D1|^2 Delta / l there."""
+    2 |D0 D1|^2 Delta / l there; only at t_lo is that an overflow error.
+    The grid is evaluated in passes of SCAN_CHUNK points, up to the first
+    pass that holds a crossing."""
     if t_hi > basis.horizon:
         raise OverflowRangeError(
             f"t_max = {t_hi} beyond the numeric horizon {basis.horizon:.3f} of this basis"
         )
 
-    def drop(ts):   # lam_minus - 1
-        return _scalars_double(d, basis.dual_amplitudes(ts), basis.gram_det)[4] - 1.0
+    def scalars(ts):   # (l, lam_minus - 1)
+        _, _, l, _, lam_m = _scalars_double(d, basis.dual_amplitudes(ts), basis.gram_det)
+        return l, lam_m - 1.0
 
     ts = _grid(t_lo, t_hi)
-    f = drop(ts)
+    l, f = scalars(ts[:SCAN_CHUNK])
     if f[0] < -VALIDITY_TOL:
+        if not math.isfinite(l[0]):
+            raise OverflowRangeError(f"metric scalars exceed double range at t = {t_lo}")
         raise InvalidMetricError(
             f"dilation invalid already at t = {t_lo:g} (lambda_minus = {1.0 + f[0]})"
         )
-    drops = np.flatnonzero((f[:-1] >= 0.0) & (f[1:] < 0.0))   # f[k] >= 0 > f[k + 1]
-    if not drops.size:
-        return None
-    lo, hi = float(ts[drops[0]]), float(ts[drops[0] + 1])
+    k = 0   # f[i] is the drop at ts[k + i]
+    while True:
+        drops = np.flatnonzero((f[:-1] >= 0.0) & (f[1:] < 0.0))   # f[i] >= 0 > f[i + 1]
+        if drops.size:
+            break
+        if k + f.size == ts.size:
+            return None
+        k += f.size - 1   # carry the last point into the next pass
+        f = np.concatenate([f[-1:], scalars(ts[k + 1:k + 1 + SCAN_CHUNK])[1]])
+    lo, hi = float(ts[k + drops[0]]), float(ts[k + drops[0] + 1])
     while hi - lo > BISECT_XTOL:
         mid = (lo + hi) / 2.0
-        if drop(np.array([mid]))[0] >= 0.0:
+        if scalars(np.array([mid]))[1][0] >= 0.0:
             lo = mid
         else:
             hi = mid

@@ -53,11 +53,13 @@ class Spectrum(NamedTuple):
     phase: PhaseLabel
 
 
-def hamiltonian(p: HamiltonianParams, t: float) -> np.ndarray:
-    return np.array(
-        [[p.E + 1j * p.omega * t, 1.0], [1.0, p.E - 1j * p.omega * t]],
-        dtype=complex,
-    )
+def hamiltonian(p: HamiltonianParams, t) -> np.ndarray:
+    """H(t) at a float t, shape (2, 2), or over a 1-D array of n times,
+    stacked: shape (n, 2, 2)."""
+    sweep = 1j * p.omega * np.asarray(t, dtype=float)
+    H = np.ones(sweep.shape + (2, 2), dtype=complex)
+    H[..., 0, 0], H[..., 1, 1] = p.E + sweep, p.E - sweep
+    return H
 
 
 def instantaneous_spectrum(p: HamiltonianParams, t: float) -> Spectrum:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptdilate.cli import MAX_GRID_POINTS, Scenario, main
+from ptdilate.cli import MAX_GRID_POINTS, Scenario, _write_csv, main
 from ptdilate.dilation import tau_from_metric
 from ptdilate.errors import ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
@@ -277,6 +277,32 @@ class TestSimulateCommand:
     def test_zero_state_rejected(self, tmp_path):
         scn = _write_scenario(tmp_path / "s.json", t_end=3.9, grid_step=0.05, initial_state=[0, 0, 0, 0])
         assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 2
+
+    def test_tiny_rel_tol_runs_with_one_warning(self, tmp_path, capsys):
+        # rel_tol is floored at 100 eps; the default span ends 1.3e-4 before
+        # the breakdown, where tau' is steepest
+        scn = _write_scenario(tmp_path / "s.json", tolerances={"rel_tol": 1e-300})
+        start = time.perf_counter()
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - start < 10.0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "below 100 eps" in warnings[0]
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert summary["max_upper_deviation"] < 1e-10
+
+
+def test_csv_rows_match_per_cell_formatting(tmp_path):
+    # one format string per row writes what one 12-digit format per cell
+    # wrote, subnormals, signed zeros and non-finite cells included
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(500, 6)) * 10.0 ** rng.integers(-320, 308, size=(500, 6))
+    values[::7, 0], values[::11, 1], values[::13, 2], values[::17, 3] = -0.0, 5e-324, np.inf, np.nan
+    columns = {f"c{j}": values[:, j] for j in range(5)}
+    columns["listed"] = [float(v) for v in values[:, 5]]
+    columns["valid"] = np.where(values[:, 4] > 0.0, "1", "0")
+    _write_csv(tmp_path / "x.csv", columns)
+    rows = (",".join(c if isinstance(c, str) else f"{float(c):.11e}" for c in row) for row in zip(*columns.values()))
+    assert (tmp_path / "x.csv").read_text() == "\n".join([",".join(columns), *rows]) + "\n"
 
 
 class TestDilateAndEfficiency:

@@ -339,3 +339,29 @@ def test_generator_fill_equals_np_block(mode):
         dh = assemble_dilated(P, D_REF, t, mode)
         expected = np.block([[dh.h1, dh.h2], [dh.h2.conj().T, dh.h4]])
         assert np.array_equal(dh.hh, expected)
+
+
+class TestArrayAssembly:
+    @pytest.mark.parametrize("mode", [H4Mode.HERMITIAN_PART, H4Mode.MIRROR])
+    @pytest.mark.parametrize("omega, t0, t1", [(0.5, 0.0, 3.9), (0.37, 0.05, 2.0)])
+    def test_matches_scalar_calls(self, mode, omega, t0, t1):
+        p = HamiltonianParams(1.0, omega)
+        basis = solution_basis(p)
+        ts = np.linspace(t0, t1, 40)
+        dh = assemble_dilated(p, D_REF, ts, mode, basis)
+        assert dh.hh.shape == (40, 4, 4) and dh.tau.shape == (40, 2, 2)
+        scalar = [assemble_dilated(p, D_REF, float(t), mode, basis) for t in ts]
+        for name in ("h1", "h2", "h4", "hh", "tau"):
+            stacked = np.array([getattr(one, name) for one in scalar])
+            scale = np.abs(stacked).max(axis=(1, 2), keepdims=True)
+            assert (np.abs(getattr(dh, name) - stacked) <= 1e-12 * scale).all(), name
+        assert dh.h4_residual == pytest.approx(max(one.h4_residual for one in scalar), abs=1e-13)
+
+    def test_near_breakdown_time_in_an_array(self):
+        t_c = brentq(lambda t: eigenvalues(P, D_REF, t)[1] - 1.0, 3.9, 4.1, xtol=1e-15)
+        with pytest.raises(NearBreakdownError, match=f"t = {t_c}"):
+            assemble_dilated(P, D_REF, np.array([1.0, 3.0, t_c]))
+
+    def test_invalid_time_in_an_array_is_named(self):
+        with pytest.raises(InvalidMetricError, match="t = 4.2"):
+            assemble_dilated(P, D_REF, np.array([1.0, 4.2, 4.3]))

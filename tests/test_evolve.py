@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ptdilate.dilation import H4Mode
+from ptdilate import evolve
+from ptdilate.dilation import H4Mode, assemble_dilated, tau_from_metric
 from ptdilate.errors import BreakdownError, IntegrationError, ValidationError
 from ptdilate.evolve import (
     EvolutionConfig,
@@ -140,6 +141,52 @@ class TestSimulateDilated:
         a = simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, 3.0), base)
         b = simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, 3.0), tight)
         assert np.abs(a.states - b.states).max() < 1e-8
+
+
+def _dop853_propagator(p, d, mode, basis, span, grid):
+    """U(t, t0) on the grid from one DOP853 run (rtol 1e-12) over the four
+    columns of the identity: i U' = hh U, with U flattened row by row."""
+    cfg = EvolutionConfig(rel_tol=1e-12, abs_tol=1e-14, output_grid=grid)
+    gen = lambda t: np.kron(assemble_dilated(p, d, t, mode, basis).hh, np.eye(4))
+    return integrate_linear(gen, np.eye(4, dtype=complex).ravel(), span, cfg).states.reshape(-1, 4, 4)
+
+
+class TestMagnus:
+    @pytest.mark.parametrize("mode", [H4Mode.HERMITIAN_PART, H4Mode.MIRROR])
+    @pytest.mark.parametrize("omega, span", [(0.5, (0.0, 3.9)), (1.0, (0.5, 1.0))])
+    def test_matches_dop853_propagator(self, omega, span, mode):
+        p = HamiltonianParams(1.0, omega)
+        basis = solution_basis(p)
+        grid = np.linspace(*span, 6)
+        psi0 = np.array([0.6 + 0.1j, 0.3 - 0.7j])
+        traj = simulate_dilated(p, D_REF, psi0, span, EvolutionConfig(output_grid=grid), mode, basis)
+        tau0 = tau_from_metric(metric(p, D_REF, span[0], basis))
+        ref = _dop853_propagator(p, D_REF, mode, basis, span, grid) @ np.concatenate([psi0, tau0 @ psi0])
+        assert (np.linalg.norm(traj.states - ref, axis=1) <= 1e-8 * np.linalg.norm(ref, axis=1)).all()
+
+    def test_steps_are_unitary(self):
+        # a random Hermitian generator with a large norm: each step keeps
+        # the norm to rounding, whatever its accuracy
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        gen = lambda ts: (a + a.conj().T)[None] * (1.0 + ts[:, None, None] ** 2)
+        u = evolve._magnus_steps(gen, np.linspace(0.0, 1.0, 5), np.full(5, 0.7))
+        assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4)).max() < 1e-13
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(evolve, "MAX_STEPS", 10)
+        with pytest.raises(IntegrationError, match="10 Magnus"):
+            simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, 1.0))
+
+    def test_nonfinite_generator_rejected(self):
+        gen = lambda ts: np.full((ts.size, 2, 2), np.inf, dtype=complex)
+        with pytest.raises(IntegrationError, match="not finite"):
+            evolve._integrate_magnus(gen, np.array([1.0, 0.0], dtype=complex), (0.0, 1.0), EvolutionConfig())
+
+    def test_tiny_rel_tol_is_floored_with_a_warning(self):
+        with pytest.warns(UserWarning, match="below 100 eps"):
+            traj = simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, 1.0), EvolutionConfig(rel_tol=1e-300))
+        assert traj.extras["upper_deviation"].max() < 1e-10
 
 
 class TestEfficiency:

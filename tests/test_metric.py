@@ -287,6 +287,22 @@ class TestBreakdown:
         d = DilationParams(3.5, d1_sq)
         assert breakdown_time(P, d, t_max) == pytest.approx(_per_point_breakdown(d, t_max), abs=1e-12)
 
+    @pytest.mark.parametrize("d1_sq, t_max", [(238.0, 5.0), (4.13, 2.5), (238.0, 2.0)])
+    def test_scan_passes_do_not_move_the_crossing(self, monkeypatch, d1_sq, t_max):
+        # passes of 7 points put many crossings of pass boundaries before
+        # the drop, and the carried point must stand in for the left one
+        d = DilationParams(3.5, d1_sq)
+        whole = breakdown_time(P, d, t_max)
+        for chunk in (7, 2, 10**6):
+            monkeypatch.setattr(metric_module, "SCAN_CHUNK", chunk)
+            assert breakdown_time(P, d, t_max) == whole
+
+    def test_overflow_at_start_is_not_blamed_on_the_dilation(self):
+        # just above the Whittaker omega floor l overflows at t = 0, so
+        # lambda_minus reads 0 there without the dilation being invalid
+        with pytest.raises(OverflowRangeError, match="exceed double range"):
+            breakdown_time(HamiltonianParams(1.0, 0.0015), D_REF, 0.002)
+
 
 def _per_point_breakdown(d, t_max):
     """breakdown_time written as a per-point scan: one eigenvalues call per

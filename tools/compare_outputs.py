@@ -46,6 +46,8 @@ INVOCATIONS = [
     ("simulate_default", ["simulate", "--tmax", "3.9"], None),
     ("simulate_seeded", ["simulate"], {"t_end": 3.9, "initial_state": _seeded_state(1)}),
     ("simulate_span_start", ["simulate"], {"d0_sq": 0.9, "t_start": 2.0, "t_end": 3.5}),
+    # general omega: the Whittaker basis at every Magnus node
+    ("simulate_general", ["simulate"], {"omega": 1.0, "t_start": 0.5, "t_end": 1.5, "grid_step": 0.1}),
     ("metric_scan_half", ["metric-scan"], {"d0_sq": 2.0, "d1_sq": 500.0, "t_end": 6.0}),
     ("metric_scan_037", ["metric-scan"], {"omega": 0.37, "t_end": 10.0, "grid_step": 0.05}),
     # w t^2 up to 520: mpmath's whitw past magnitude 50, and l past 1e154
