@@ -16,6 +16,13 @@ integral (DLMF 7.2.5).  delta = e^{t^2/2} (1 - 2 x F(x)), x = t / sqrt(2),
 does not cancel in doubles.  The Whittaker representation is never rescaled
 onto the closed form; cross-representation checks compare ratios only.
 
+The Whittaker pair is evaluated in doubles.  Per sweep rate, one cached
+table holds both columns at knots from 0 to just past the horizon, built
+by Taylor steps of x' = (-i sigma_x + w t sigma_z) x, the phase-free
+system: x1 forward from its closed-form value at t = 0, x0, the recessive
+column, backward from one mpmath pair at the last knot.  A time is then
+one Taylor step from the knot on its left (x1) or right (x0).
+
 E enters only through the common phase e^{-iEt}: each representation
 evaluates phase-free amplitudes, and `SolutionBasis.x_pair` alone applies it.
 """
@@ -52,8 +59,11 @@ __all__ = [
 ]
 
 MU = 0.25                   # second Whittaker index of the model
-T_SMALL = 1e-3              # below this the Whittaker basis uses the sqrt(t) limit
+T_SMALL = 1e-3              # below this the Whittaker basis takes the amplitude at T_SMALL
 CLOSED_FORM_T_MAX = 6.0     # closed-form horizon without rescaling
+WHITTAKER_Z_MAX = 700.0     # w t^2 at the Whittaker horizon
+KNOT_STEP = 1.5             # Whittaker knot spacing KNOT_STEP / (1 + w t + 2 sqrt(w))
+TAYLOR_TERMS = 25           # terms per Taylor step; 60 agree to rounding for w up to 1e4
 # x0(0) carries 1/Gamma(1 - 1/(4 w)), of size about Gamma(1/(4 w)), which
 # is past double range once 1/(4 w) exceeds 171.62 (Gamma(171.62) ~ 1.8e308)
 WHITTAKER_OMEGA_MIN = 1.0 / (4.0 * 171.62)
@@ -121,21 +131,103 @@ def _whittaker_pair_mp(omega, t):
     return x0, x1
 
 
-@lru_cache(maxsize=1 << 14)
-def _whittaker_pair_raw(omega: float, t: float) -> tuple[complex, complex, complex, complex]:
-    """`_whittaker_pair_mp` rounded to doubles: x0 up, x0 down, x1 up, x1 down."""
-    x0, x1 = _whittaker_pair_mp(omega, t)
-    return tuple(complex(v) for v in (*x0, *x1))
+def _whittaker_at_zero(omega: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """(x0(0), x1(0)), the t -> 0 limit of `_whittaker_pair_mp`: with
+    W_{k,1/4}(z) ~ sqrt(pi) z^{1/4} / Gamma(3/4 - k) (DLMF 13.14.18),
+
+        x0(0) = sqrt(pi) w^{1/4} (1/Gamma(3/4 - kappa), -2i sqrt(w)/Gamma(3/4 - kappa'))
+        x1(0) = sqrt(pi) w^{1/4} e^{i pi/4} (1/Gamma(3/4 + kappa), 1/(2 sqrt(w) Gamma(3/4 + kappa')))
+
+    An entry of x0(0) is exactly 0 where 3/4 - kappa or 3/4 - kappa' is a
+    nonpositive integer, the Hermite cases w = 1/(2m)."""
+    kap, kap_p = model_kappas(omega)
+    with mp.workdps(30):
+        w = mp.mpf(omega)
+        c = mp.sqrt(mp.pi) * w**0.25
+        x0 = (c * mp.rgamma(0.75 - kap), -2j * mp.sqrt(w) * c * mp.rgamma(0.75 - kap_p))
+        c1 = c * mp.expjpi(0.25)
+        x1 = (c1 * mp.rgamma(0.75 + kap), c1 * mp.rgamma(0.75 + kap_p) / (2 * mp.sqrt(w)))
+        return tuple(complex(v) for v in x0), tuple(complex(v) for v in x1)
+
+
+def _taylor_step(omega: float, centres: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Phase-free solutions at centres + s, from their values x (shape (2, n))
+    at the centres: TAYLOR_TERMS terms of the series of x' = (-i sigma_x +
+    w t sigma_z) x about each centre c, whose coefficients obey
+
+        (n + 1) a_{n+1} = (-i sigma_x + w c sigma_z) a_n + w sigma_z a_{n-1}.
+
+    Elementwise in the n columns, with no product of two general complex
+    numbers, so one column rounds alike however many are evaluated."""
+    wc = omega * centres
+    up, down = x
+    prev_up = prev_down = np.zeros_like(up)
+    sum_up, sum_down = up, down
+    power = np.ones_like(s)
+    for n in range(1, TAYLOR_TERMS + 1):
+        up, down, prev_up, prev_down = (
+            (wc * up - 1j * down + omega * prev_up) * (1.0 / n),
+            (-1j * up - wc * down - omega * prev_down) * (1.0 / n),
+            up,
+            down,
+        )
+        power = power * s
+        sum_up, sum_down = sum_up + power * up, sum_down + power * down
+    return np.array([sum_up, sum_down])
+
+
+def _carry(omega: float, x: tuple[complex, complex], centres: np.ndarray, h: np.ndarray) -> list:
+    """x and its Taylor steps h from each of the centres in turn, each
+    step taken as a 2x2 propagator: the steps of (1, 0) and (0, 1)."""
+    steps = _taylor_step(omega, np.repeat(centres, 2), np.repeat(h, 2), np.tile(np.eye(2), h.size))
+    out = [x]
+    for (a, b), (c, d) in steps.reshape(2, h.size, 2).transpose(1, 0, 2).tolist():
+        u, v = out[-1]
+        out.append((a * u + b * v, c * u + d * v))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _whittaker_knots(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t_k, x0(t_k), x1(t_k)) on knots from 0 to just past the horizon,
+    spaced h_k = KNOT_STEP / (1 + w t_k + 2 sqrt(w)), so that w t h stays
+    below KNOT_STEP and w h^2 below KNOT_STEP^2 / 4, and TAYLOR_TERMS terms
+    sum each step to rounding.  Each column is carried in the direction it grows: x1 forward
+    from `_whittaker_at_zero`, x0, which decays like e^{-w t^2/2}, backward
+    from one mpmath pair at the last knot."""
+    horizon, sw = math.sqrt(WHITTAKER_Z_MAX / omega), math.sqrt(omega)
+    knots = [0.0]
+    while knots[-1] <= horizon:
+        knots.append(knots[-1] + KNOT_STEP / (1.0 + omega * knots[-1] + 2.0 * sw))
+    knots = np.array(knots)
+    h = np.diff(knots)
+    x1 = _carry(omega, _whittaker_at_zero(omega)[1], knots[:-1], h)
+    anchor = tuple(complex(v) for v in _whittaker_pair_mp(omega, knots[-1])[0])
+    x0 = _carry(omega, anchor, knots[:0:-1], -h[::-1])[::-1]
+    table = (knots, np.array(x0).T, np.array(x1).T)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _whittaker_amplitudes(omega: float, ts: np.ndarray) -> np.ndarray:
-    """Phase-free Whittaker pair, stacked like the closed form's; one cached
-    mpmath evaluation per time point (the one at T_SMALL for t <= T_SMALL)."""
+    """Phase-free Whittaker pair, stacked like the closed form's: x1 by a
+    Taylor step from the knot on the left of each time, x0 from the knot on
+    its right (the amplitude at T_SMALL for t <= T_SMALL)."""
     if ts.min() < 0.0:
         raise DomainError("Whittaker basis supports t >= 0 only")
     if omega < WHITTAKER_OMEGA_MIN:
         raise OverflowRangeError(f"Whittaker basis exceeds double range for omega < {WHITTAKER_OMEGA_MIN:.4g}")
-    x = np.array([_whittaker_pair_raw(omega, float(s)) for s in ts]).T.reshape(2, 2, -1)
+    knots, x0, x1 = _whittaker_knots(omega)
+    if ts.max() > knots[-1]:
+        raise OverflowRangeError(f"Whittaker basis is tabulated up to t = {knots[-1]:.6g} only")
+    tc = np.maximum(ts, T_SMALL)
+    k = np.clip(np.searchsorted(knots, tc, side="right") - 1, 0, knots.size - 2)
+    centres = np.concatenate([knots[k + 1], knots[k]])
+    starts = np.concatenate([x0[:, k + 1], x1[:, k]], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        x = _taylor_step(omega, centres, np.concatenate([tc, tc]) - centres, starts)
+    x = x.reshape(2, 2, -1).swapaxes(0, 1)
     bad = ~np.isfinite(x).all(axis=(0, 1))
     if bad.any():
         raise OverflowRangeError(f"Whittaker basis exceeds double range at t = {ts[bad][0]}")
@@ -163,7 +255,7 @@ class SolutionBasis:
         """Largest time the representation can evaluate in double range."""
         if self.representation is Representation.CLOSED_FORM_HALF:
             return CLOSED_FORM_T_MAX
-        return math.sqrt(700.0 / self.params.omega)
+        return math.sqrt(WHITTAKER_Z_MAX / self.params.omega)
 
     @property
     def gram_det(self) -> float:

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from ptdilate.cli import MAX_GRID_POINTS, Scenario, _write_csv, main
 from ptdilate.dilation import tau_from_metric
-from ptdilate.errors import ValidationError
+from ptdilate.errors import OverflowRangeError, ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
-from ptdilate.metric import DilationParams, eigenvalues, metric
+from ptdilate.metric import DilationParams, breakdown_time, eigenvalues, metric
 from ptdilate.model import HamiltonianParams
+from ptdilate.solutions import _whittaker_knots
 
 
 def _write_scenario(path, **overrides):
@@ -250,6 +251,17 @@ class TestBreakdownCommand:
         report = json.loads((tmp_path / "breakdown.json").read_text())
         assert report["breakdown_time"] is None
 
+    def test_overflow_near_the_omega_floor_reported_at_once(self, tmp_path):
+        # l overflows at t = 0 just above the Whittaker omega floor, and the
+        # scan's first pass of points must cost little; the knot table starts cold
+        _whittaker_knots.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(OverflowRangeError, match=r"metric scalars exceed double range at t = 0\.0"):
+            breakdown_time(HamiltonianParams(1.0, 0.0015), DilationParams(3.5, 238.0), 1.0)
+        assert time.perf_counter() - start <= 0.5
+        scn = _write_scenario(tmp_path / "s.json", omega=0.0015, t_end=1.0, grid_step=0.5)
+        assert main(["breakdown", "--scenario", scn, "--out", str(tmp_path)]) == 3
+
 
 class TestSimulateCommand:
     def test_summary_tolerances(self, tmp_path):
@@ -270,6 +282,19 @@ class TestSimulateCommand:
         # lambda_minus(0) = 0.9 < 1, but lambda_minus >= 1.31 on [2, 3.5]
         scn = _write_scenario(tmp_path / "s.json", d0_sq=0.9, t_start=2.0, t_end=3.5)
         assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert summary["max_norm_drift"] <= 1e-8
+        assert summary["max_upper_deviation"] <= 1e-6
+
+    def test_general_omega_fine_grid(self, tmp_path):
+        # every Magnus node is a Whittaker point; the knot table starts cold
+        scn = _write_scenario(
+            tmp_path / "s.json", omega=1.0, t_start=0.5, t_end=1.0, initial_state=[0.6, 0.1, 0.3, -0.7]
+        )
+        _whittaker_knots.cache_clear()
+        start = time.perf_counter()
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - start <= 1.0
         summary = json.loads((tmp_path / "simulate_summary.json").read_text())
         assert summary["max_norm_drift"] <= 1e-8
         assert summary["max_upper_deviation"] <= 1e-6

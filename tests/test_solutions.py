@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 from ptdilate.errors import DomainError, OverflowRangeError, ValidationError
 from ptdilate.model import HamiltonianParams, hamiltonian
 from ptdilate.solutions import (
+    MU,
     Representation,
     SolutionBasis,
+    _whittaker_at_zero,
+    _whittaker_knots,
     model_kappas,
     solution_basis,
     wronskian,
@@ -130,6 +133,74 @@ class TestWhittakerBasis:
         just_above = solution_basis(P_HALF, Representation.WHITTAKER_GENERAL).x_pair(1.1e-3)
         np.testing.assert_allclose(just_below[0], just_above[0], rtol=2e-3, atol=3e-4)
         np.testing.assert_allclose(just_below[1], just_above[1], rtol=2e-3, atol=3e-4)
+
+
+class TestWhittakerKnotTable:
+    """The double-precision Whittaker pair against 40-digit mpmath W."""
+
+    OMEGAS = [1.0 / 6.0, 0.25, 0.37, 1.0, 1.3, 3.0]   # 1/6 and 1/4: an entry of x0(0) is 0
+
+    @staticmethod
+    def _oracle(omega, t):
+        """(x0, x1) at t from mpmath's whitw at 40 digits, shape (2, 2)."""
+        kap, kap_p = model_kappas(omega)
+        with mp.workdps(40):
+            t = mp.mpf(t)
+            mag, rt, sw = omega * t * t, mp.sqrt(t), mp.sqrt(omega)
+            rot = mp.mpc(-mag, 0)
+            x0 = (mp.whitw(kap, MU, mag) / rt, -2j * sw * mp.whitw(kap_p, MU, mag) / rt)
+            x1 = (mp.whitw(-kap, MU, rot) / rt, mp.whitw(-kap_p, MU, rot) / (2 * sw) / rt)
+            return np.array([[complex(v) for v in x0], [complex(v) for v in x1]])
+
+    @staticmethod
+    def _column_errors(x, ref):
+        return np.linalg.norm(x - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_both_columns_match_mpmath(self, omega):
+        basis = solution_basis(HamiltonianParams(E=0.0, omega=omega), Representation.WHITTAKER_GENERAL)
+        t_hi = min(basis.horizon, 20.0)
+        knots = _whittaker_knots(omega)[0]
+        inner = knots[(knots > 0.0) & (knots < t_hi)]
+        on_knots = inner[:: max(1, inner.size // 4)]
+        ts = np.concatenate([np.linspace(0.01, t_hi, 12), on_knots, on_knots - 1e-12, on_knots + 1e-12])
+        x = np.array(basis.x_pair(ts))   # E = 0: the phase-free pair
+        for i, t in enumerate(ts):
+            errors = self._column_errors(x[:, :, i], self._oracle(omega, float(t)))
+            assert errors.max() <= 1e-12, (t, errors)
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_value_at_zero_is_the_small_t_limit(self, omega):
+        x0, x1 = _whittaker_at_zero(omega)
+        ref = self._oracle(omega, 1e-20)
+        assert self._column_errors(np.array([x0, x1]), ref).max() <= 1e-12
+        if omega in (1.0 / 6.0, 0.25):   # 1/Gamma at a nonpositive integer
+            assert 0.0 in x0
+
+    @pytest.mark.parametrize("omega", [0.37, 1.0, 3.0])
+    def test_scalar_call_equals_array_element(self, omega):
+        basis = solution_basis(HamiltonianParams(E=1.3, omega=omega))
+        knots = _whittaker_knots(omega)[0]
+        ts = np.concatenate([[0.0, 5e-4], np.linspace(0.01, basis.horizon, 40), knots[1:-1:9] + 1e-12])
+        x0, x1 = basis.x_pair(ts)
+        for i, t in enumerate(ts):
+            s0, s1 = basis.x_pair(float(t))
+            np.testing.assert_array_equal(s0, x0[:, i])
+            np.testing.assert_array_equal(s1, x1[:, i])
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_determinant_modulus_constant(self, omega):
+        # |det[x0, x1]| = sqrt(gram_det) = 2 w, out to w t^2 = 300
+        basis = solution_basis(HamiltonianParams(E=0.7, omega=omega), Representation.WHITTAKER_GENERAL)
+        x0, x1 = basis.x_pair(np.linspace(0.0, math.sqrt(300.0 / omega), 601))
+        det = np.abs(x0[0] * x1[1] - x0[1] * x1[0])
+        assert np.abs(det / det[0] - 1.0).max() <= 1e-12
+        assert det[0] == pytest.approx(2.0 * omega, rel=1e-12)
+
+    def test_past_the_table_refused(self):
+        basis = solution_basis(P_ONE)
+        with pytest.raises(OverflowRangeError):
+            basis.x_pair(_whittaker_knots(1.0)[0][-1] * 1.01)
 
 
 class TestDualBasis:

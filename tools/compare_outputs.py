@@ -50,10 +50,12 @@ INVOCATIONS = [
     ("simulate_general", ["simulate"], {"omega": 1.0, "t_start": 0.5, "t_end": 1.5, "grid_step": 0.1}),
     ("metric_scan_half", ["metric-scan"], {"d0_sq": 2.0, "d1_sq": 500.0, "t_end": 6.0}),
     ("metric_scan_037", ["metric-scan"], {"omega": 0.37, "t_end": 10.0, "grid_step": 0.05}),
-    # w t^2 up to 520: mpmath's whitw past magnitude 50, and l past 1e154
+    # w t^2 up to 520: deep Whittaker knots, and l past 1e154
     ("metric_scan_far", ["metric-scan"], {"omega": 1.3, "t_end": 20.0, "grid_step": 0.25}),
-    # w t^2 from 50.6 to 134: mpmath's whitw at a general omega
+    # w t^2 from 50.6 to 134: deep Whittaker knots at a slow sweep
     ("metric_scan_037_far", ["metric-scan"], {"omega": 0.37, "t_start": 11.7, "t_end": 19.0, "grid_step": 0.05}),
+    # a fast sweep to w t^2 = 675, where the w h^2 term of the knot steps weighs most
+    ("metric_scan_3_far", ["metric-scan"], {"omega": 3.0, "t_end": 15.0, "grid_step": 0.05}),
     ("efficiency", ["efficiency"], {"t_end": 3.9, "initial_state": _seeded_state(2)}),
     ("bounds", ["bounds"], None),
     # general omega: every bound divides by the Whittaker basis's Delta = 4 w^2
