@@ -177,8 +177,9 @@ def _taylor_step(omega: float, centres: np.ndarray, s: np.ndarray, x: np.ndarray
 
 
 def _carry(omega: float, x: tuple[complex, complex], centres: np.ndarray, h: np.ndarray) -> list:
-    """x and its Taylor steps h from each of the centres in turn, each
-    step taken as a 2x2 propagator: the steps of (1, 0) and (0, 1)."""
+    """[x, x after step 1, ...]: x stepped by h[i] from centres[i] in turn.
+    The steps are taken in one array pass as 2x2 propagators, the steps of
+    (1, 0) and (0, 1), and chained in Python complex arithmetic."""
     steps = _taylor_step(omega, np.repeat(centres, 2), np.repeat(h, 2), np.tile(np.eye(2), h.size))
     out = [x]
     for (a, b), (c, d) in steps.reshape(2, h.size, 2).transpose(1, 0, 2).tolist():
