@@ -3,6 +3,8 @@
 All three problems are linear, i v' = M(t) v.  `integrate_linear` drives
 any of them through an embedded Runge-Kutta pair (scipy's DOP853) with
 dense output on a caller-supplied grid; the tests use it as the oracle.
+scipy's integrators are imported on its first call, so that no CLI
+command pays for loading them.
 
 `simulate_dilated` takes sixth-order Magnus steps over the 4x4 generator,
 which is assembled in array passes of `CHUNK_STEPS` steps, three
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dilation import H4Mode, assemble_dilated, tau_from_metric
 from .errors import BreakdownError, IntegrationError, ValidationError
@@ -95,6 +96,14 @@ def _resolve_grid(span, cfg):
     if grid[0] < t0 - 1e-12 or grid[-1] > t1 + 1e-12:
         raise ValidationError("output_grid must lie inside the span")
     return grid
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.  A module-level
+    name, so that `integrate_linear` looks it up here at every call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def integrate_linear(

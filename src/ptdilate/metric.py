@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateDenominatorError,
@@ -55,6 +54,8 @@ __all__ = [
 VALIDITY_TOL = 1e-12        # lam_minus >= 1 - this counts as valid
 SCAN_STEP = 1e-3            # grid step of every scan
 SCAN_CHUNK = 1000           # breakdown-scan points evaluated per pass
+REFINE_POINTS = 33          # points per refinement pass of a bound's maximum
+REFINE_TOL = 1e-10          # width at which a bound's maximum is refined
 BISECT_XTOL = 1e-9          # breakdown-time bisection width
 ASYM_MIN_Z = 10.0           # w t^2 floor of the large-time eigenvalue forms
 
@@ -231,18 +232,23 @@ _UNIT = DilationParams(1.0, 1.0)
 
 def _slice_max(basis, ts: np.ndarray, bound) -> float:
     """Max over t of bound(n0, n1, lam_p, Delta), with the unit-D scalars
-    scanned on the grid ts, then refined between the best point's grid
-    neighbours by scipy's bounded minimizer."""
+    scanned on the grid ts, then refined in array passes: each evaluates
+    REFINE_POINTS times between the best point's neighbours and keeps the
+    new best point's, until they are REFINE_TOL apart."""
 
     def f(t):
         n0, n1, _, lam_p, _ = _scalars(_UNIT, t, basis)
         return bound(n0, n1, lam_p, basis.gram_det)
 
-    values = f(ts)
-    k = int(np.argmax(values))
-    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    return float(max(values[k], -res.fun))
+    best = -math.inf
+    while True:
+        values = f(ts)
+        k = int(np.argmax(values))
+        best = max(best, float(values[k]))
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+        if hi - lo <= REFINE_TOL:
+            return best
+        ts = np.linspace(lo, hi, REFINE_POINTS)
 
 
 def equal_d_bound(

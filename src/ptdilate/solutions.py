@@ -20,7 +20,7 @@ The Whittaker pair is evaluated in doubles.  Per sweep rate, one cached
 table holds both columns at knots from 0 to just past the horizon, built
 by Taylor steps of x' = (-i sigma_x + w t sigma_z) x, the phase-free
 system: x1 forward from its closed-form value at t = 0, x0, the recessive
-column, backward from one mpmath pair at the last knot.  A time is then
+column, backward from one mpmath column at the last knot.  A time is then
 one Taylor step from the knot on its left (x1) or right (x0).
 
 E enters only through the common phase e^{-iEt}: each representation
@@ -114,21 +114,28 @@ def _closed_half_amplitudes(ts: np.ndarray) -> np.ndarray:
 
 # --- Whittaker representation ----------------------------------------------
 
-def _whittaker_pair_mp(omega, t):
-    """Whittaker x-pair components in mpmath arithmetic (no e^{-iEt} phase);
-    for t <= T_SMALL the amplitude is the one at T_SMALL."""
+def _whittaker_column_mp(omega, t, ray: Ray):
+    """One column of the Whittaker x-pair in mpmath arithmetic (no e^{-iEt}
+    phase): x0 from W_kappa and W_kappa' on the positive ray, x1 from
+    W_-kappa and W_-kappa' on the rotated ray.  For t <= T_SMALL the
+    amplitude is the one at T_SMALL."""
     kap, kap_p = model_kappas(omega)
     ts = max(float(t), T_SMALL)
     mag = omega * ts * ts
     rt = mp.sqrt(ts)
     sw = mp.sqrt(omega)
 
-    def _w(kappa, ray):
+    def _w(kappa):
         return _whittaker_mp(kappa, MU, mag, ray)
 
-    x0 = (_w(kap, Ray.POSITIVE) / rt, -2j * sw * _w(kap_p, Ray.POSITIVE) / rt)
-    x1 = (_w(-kap, Ray.ROTATED) / rt, _w(-kap_p, Ray.ROTATED) / (2 * sw) / rt)
-    return x0, x1
+    if ray is Ray.POSITIVE:
+        return (_w(kap) / rt, -2j * sw * _w(kap_p) / rt)
+    return (_w(-kap) / rt, _w(-kap_p) / (2 * sw) / rt)
+
+
+def _whittaker_pair_mp(omega, t):
+    """(x0, x1), the Whittaker x-pair in mpmath arithmetic."""
+    return _whittaker_column_mp(omega, t, Ray.POSITIVE), _whittaker_column_mp(omega, t, Ray.ROTATED)
 
 
 def _whittaker_at_zero(omega: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -195,7 +202,7 @@ def _whittaker_knots(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     below KNOT_STEP and w h^2 below KNOT_STEP^2 / 4, and TAYLOR_TERMS terms
     sum each step to rounding.  Each column is carried in the direction it grows: x1 forward
     from `_whittaker_at_zero`, x0, which decays like e^{-w t^2/2}, backward
-    from one mpmath pair at the last knot."""
+    from its mpmath value at the last knot."""
     horizon, sw = math.sqrt(WHITTAKER_Z_MAX / omega), math.sqrt(omega)
     knots = [0.0]
     while knots[-1] <= horizon:
@@ -203,7 +210,7 @@ def _whittaker_knots(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     knots = np.array(knots)
     h = np.diff(knots)
     x1 = _carry(omega, _whittaker_at_zero(omega)[1], knots[:-1], h)
-    anchor = tuple(complex(v) for v in _whittaker_pair_mp(omega, knots[-1])[0])
+    anchor = tuple(complex(v) for v in _whittaker_column_mp(omega, knots[-1], Ray.POSITIVE))
     x0 = _carry(omega, anchor, knots[:0:-1], -h[::-1])[::-1]
     table = (knots, np.array(x0).T, np.array(x1).T)
     for a in table:

@@ -19,6 +19,7 @@ so that fractional powers never see a floating-point branch ambiguity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -137,18 +138,23 @@ def _whittaker_series_mp(kappa, mu, magnitude, ray):
 def _whittaker_asym_mp(kappa, mu, magnitude, ray):
     """W_{kappa,mu} from mpmath's `whitw`; returns an mpc.  Its U sums the
     large-argument 2F0 series, checks that it converged and otherwise falls
-    back to the connection formula (`zeroprec` as in `_hyp1f1`).  At most 35
-    digits: at the hundreds an extended-precision caller asks for, the series
-    never converges and the fallback is up to 100x slower."""
+    back to the connection formula.  No `zeroprec`: its threshold is
+    absolute and zeroes W near 1e-297 (kappa = -166.4, magnitude 700,
+    rotated ray), and a branch of the formula terminates only where the
+    2F0 series does, which then converges.  At most 35 digits: at the
+    hundreds an extended-precision caller asks for, the series never
+    converges and the fallback is up to 100x slower."""
     with mp.workdps(min(mp.mp.dps, 35)):
         z = mp.mpc(-magnitude, 0) if ray is Ray.ROTATED else mp.mpf(magnitude)
-        return mp.whitw(kappa, mu, z, zeroprec=ZERO_PREC_FACTOR * mp.mp.prec)
+        return mp.whitw(kappa, mu, z)
 
 
 def _as_finite_complex(value) -> complex:
     out = complex(value)
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowRangeError("Whittaker value exceeds double range")
+    if value and abs(out) < sys.float_info.min:
+        raise OverflowRangeError("Whittaker value is below double range")
     return out
 
 

@@ -207,6 +207,64 @@ class TestRefinedBound:
         assert lam_m.min() >= 1.0 - 1e-9
 
 
+def _brent_slice_max(basis, ts, bound):
+    """The refinement `_slice_max` had before its array passes: the coarse
+    scan's best point, refined between its grid neighbours by scipy's
+    bounded `minimize_scalar` to xatol 1e-10."""
+    from scipy.optimize import minimize_scalar
+
+    def f(t):
+        n0, n1, _, lam_p, _ = metric_module._scalars(metric_module._UNIT, t, basis)
+        return bound(n0, n1, lam_p, basis.gram_det)
+
+    values = f(ts)
+    k = int(np.argmax(values))
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    return float(max(values[k], -res.fun))
+
+
+class TestSliceMaxOracle:
+    """The array-pass refinement of each bound against scipy's bounded Brent."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            # the thresholds paper-figures writes
+            lambda: approx_bounds_interval(P, (0.0, 4.0))[0],
+            lambda: approx_bounds_interval(P, (0.0, 4.0))[1],
+            lambda: approx_bounds_interval(P, (0.0, 4.5))[1],
+            lambda: refined_d1_bound(P, 3.5, (0.0, 2.1)),
+            lambda: equal_d_bound(P, (0.0, 4.0)),
+            lambda: equal_d_bound(HamiltonianParams(1.0, 0.37), (0.0, 4.0)),
+        ],
+        ids=[
+            "approx_d0_min_0_4",
+            "approx_d1_min_0_4",
+            "approx_d1_min_0_4p5",
+            "refined_d1_bound_2p1",
+            "equal_d_bound_half",
+            "equal_d_bound_037",
+        ],
+    )
+    def test_matches_bounded_brent(self, monkeypatch, compute):
+        value = compute()
+        monkeypatch.setattr(metric_module, "_slice_max", _brent_slice_max)
+        assert value == pytest.approx(compute(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("interval, sign", [((0.0, 3.0), 1.0), ((2.0, 3.0), -1.0)])
+    def test_maximum_on_an_end_point(self, interval, sign):
+        # ||y0||^2 grows on [2, 3] and is largest at t = 3 on [0, 3]: the
+        # maximum of +n0 is the right end point, that of -n0 on [2, 3] the left
+        basis = solution_basis(P)
+        ts = metric_module._grid(*interval)
+        bound = lambda n0, n1, lam_p, delta: sign * n0
+        value = metric_module._slice_max(basis, ts, bound)
+        end = interval[1] if sign > 0 else interval[0]
+        assert value == pytest.approx(sign * metric_module._scalars(metric_module._UNIT, end, basis)[0], rel=1e-15)
+        assert value == pytest.approx(_brent_slice_max(basis, ts, bound), rel=1e-12, abs=0)
+
+
 # the Whittaker basis, where Delta = 4 w^2, also at w = 1/2
 _WHITTAKER_OMEGAS = [0.37, 0.5, 1.0, 1.3]
 

@@ -176,6 +176,25 @@ class TestWhittakerW:
                 ref = _whitw_oracle(kappa, mag, ray)
                 assert abs(value - ref) <= 1e-13 * abs(ref), (kappa, mag, value, ref)
 
+    @pytest.mark.parametrize(
+        "omega, mag",
+        [(0.0015, 60.0), (0.0015, 200.0), (0.0015, 700.0), (0.002, 700.0), (0.003, 700.0), (0.01, 700.0)],
+    )
+    @pytest.mark.parametrize("which", ["kappa", "kappa_prime"])
+    def test_rotated_ray_near_the_omega_floor(self, omega, mag, which):
+        # x1's W_{-kappa} of slow sweeps, down to 1e-298: an absolute zero
+        # threshold once turned the values at 700 for omega <= 0.002 into 0j
+        kappa = -(1.0 / (4.0 * omega) + (-0.25 if which == "kappa" else 0.25))
+        value = whittaker_w(WhittakerIndex(kappa), RayArgument.rotated(mag))
+        with mp.workdps(60):
+            ref = complex(mp.whitw(kappa, 0.25, mp.mpc(-mag, 0)))
+        assert abs(value - ref) <= 1e-12 * abs(ref), (value, ref)
+
+    def test_below_double_range_raises(self):
+        # |W_{-200,1/4}(700 e^{i pi})| is about 7e-374, which a double rounds to 0
+        with pytest.raises(OverflowRangeError, match="below double range"):
+            whittaker_w(WhittakerIndex(-200.0), RayArgument.rotated(700.0))
+
     def test_hermite_exact_zero(self):
         # W_{5/4,1/4}(1/2) is e^{-z/2} z^{1/4} H_2(sqrt z) / 4 with H_2(sqrt(1/2)) = 0
         value = whittaker_w(WhittakerIndex(1.25), RayArgument.positive(0.5))
