@@ -23,9 +23,9 @@ from .dilation import H4Mode, assemble_dilated
 from .errors import DegenerateDenominatorError, PTDilateError, ValidationError
 from .evolve import EvolutionConfig, _efficiency, _eta_norm, propagate_analytic, simulate_dilated
 from .metric import (
-    VALIDITY_TOL,
     DilationParams,
     _grid,
+    _valid,
     approx_bounds_interval,
     breakdown_time,
     eigenvalues,
@@ -199,7 +199,7 @@ def cmd_spectrum(scn: Scenario, out: Path) -> None:
 
 def _write_lambda_csv(path: Path, p, d, grid, basis) -> None:
     lam_p, lam_m = eigenvalues(p, d, grid, basis)
-    valid = np.where(lam_m >= 1.0 - VALIDITY_TOL, "1", "0")
+    valid = np.where(_valid(lam_m), "1", "0")
     _write_csv(path, {"t": grid, "lambda_minus": lam_m, "lambda_plus": lam_p, "valid": valid})
 
 
@@ -281,16 +281,17 @@ def cmd_simulate(scn: Scenario, out: Path) -> None:
         "valid": np.where(traj.valid, "1", "0"),
     })
     norm0 = traj.norms[0]
-    _write_json(
-        out / "simulate_summary.json",
-        {
-            "max_upper_deviation": _round12(float(traj.extras["upper_deviation"].max())),
-            "max_norm_drift": _round12(float(np.abs(traj.norms / norm0 - 1.0).max())),
-            "max_lower_consistency": _round12(float(traj.extras["lower_consistency"].max())),
-            "min_fidelity": _round12(float(traj.fidelity.min())),
-            "h4_mode": scn.h4_mode,
-        },
-    )
+    summary = {
+        "max_upper_deviation": _round12(float(traj.extras["upper_deviation"].max())),
+        "max_norm_drift": _round12(float(np.abs(traj.norms / norm0 - 1.0).max())),
+        "max_lower_consistency": _round12(float(traj.extras["lower_consistency"].max())),
+        "min_fidelity": _round12(float(traj.fidelity.min())),
+        "h4_mode": scn.h4_mode,
+    }
+    for key, gate in (("max_upper_deviation", 1e-6), ("max_norm_drift", 1e-8)):   # the run's gates
+        if summary[key] > gate:
+            warnings.warn(f"simulate misses its gate: {key} = {summary[key]:.3e} > {gate:.0e}", stacklevel=2)
+    _write_json(out / "simulate_summary.json", summary)
 
 
 def cmd_efficiency(scn: Scenario, out: Path) -> None:

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidMetricError, NearBreakdownError
-from .metric import VALIDITY_TOL, DilationParams, MetricState, metric
+from .metric import DilationParams, MetricState, _valid, metric
 from .model import HamiltonianParams, hamiltonian
 from .solutions import SolutionBasis, _on_time_axis
 
@@ -98,7 +98,7 @@ def _first_flagged(ms: MetricState, flags) -> tuple:
 
 
 def _require_valid(ms: MetricState) -> None:
-    invalid = ms.lambda_minus < 1.0 - VALIDITY_TOL
+    invalid = ~_valid(ms.lambda_minus)
     if np.any(invalid):
         lam_m, t = _first_flagged(ms, invalid)
         raise InvalidMetricError(f"lambda_minus = {lam_m} < 1 at t = {t}; no Hermitian root")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dilation import H4Mode, assemble_dilated, tau_from_metric
 from .errors import BreakdownError, IntegrationError, ValidationError
-from .metric import VALIDITY_TOL, DilationParams, _abs2, _breakdown_cached, metric
+from .metric import DilationParams, _abs2, _breakdown_scan, _valid, metric
 from .model import HamiltonianParams
 from .solutions import SolutionBasis, _basis_for
 
@@ -288,7 +288,7 @@ def simulate_dilated(
     if psi0.shape != (2,) or np.linalg.norm(psi0) == 0.0:
         raise ValidationError("psi0 must be a nonzero 2-dim complex vector")
     basis = _basis_for(p, basis)
-    t_break = _breakdown_cached(p, d, float(span[0]), float(span[1]), basis)
+    t_break = _breakdown_scan(d, float(span[0]), float(span[1]), basis)
     if t_break is not None:
         raise BreakdownError(
             f"dilation breaks down at t = {t_break:.6f}, inside the span {span}",
@@ -309,7 +309,7 @@ def simulate_dilated(
     ref_norm = np.linalg.norm(psi_ref, axis=0)
     up_norm = np.linalg.norm(upper, axis=0)
     traj.fidelity = _abs2((psi_ref.conj() * upper).sum(axis=0)) / (ref_norm**2 * up_norm**2)
-    traj.valid = ms.lambda_minus >= 1.0 - VALIDITY_TOL
+    traj.valid = _valid(ms.lambda_minus)
     traj.extras["psi_ref"] = psi_ref.T
     traj.extras["efficiency"] = _efficiency(psi_ref, ms.eta)
     traj.extras["lower_consistency"] = np.linalg.norm(lower - _apply(tau_t, upper), axis=0)

@@ -14,7 +14,8 @@ lam_plus is a sum of positive terms and lam_minus = |D0 D1|^2 Delta /
 lam_plus needs no subtraction: every time point is reduced in doubles
 through one formula.  `metric`, `eigenvalues` and the scans take a float or
 a 1-D array of times.  `_scalars_mp` is the extended-precision reference
-for that formula.
+for that formula.  `_valid` is the package's one validity test, and the
+breakdown search narrows its first invalid step in array passes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -54,9 +54,10 @@ __all__ = [
 VALIDITY_TOL = 1e-12        # lam_minus >= 1 - this counts as valid
 SCAN_STEP = 1e-3            # grid step of every scan
 SCAN_CHUNK = 1000           # breakdown-scan points evaluated per pass
-REFINE_POINTS = 33          # points per refinement pass of a bound's maximum
+# 2^5 + 1 points, so a pass visits the dyadic points of five bisection steps
+REFINE_POINTS = 33          # points per refinement pass
 REFINE_TOL = 1e-10          # width at which a bound's maximum is refined
-BISECT_XTOL = 1e-9          # breakdown-time bisection width
+BREAKDOWN_XTOL = 1e-9       # width at which the breakdown bracket is refined
 ASYM_MIN_Z = 10.0           # w t^2 floor of the large-time eigenvalue forms
 
 
@@ -208,9 +209,14 @@ def eta_evolution_residual(
     return float(np.abs(residual).max())
 
 
+def _valid(lam_m):
+    """lam_minus >= 1 up to VALIDITY_TOL, elementwise, as numpy booleans."""
+    return np.greater_equal(lam_m, 1.0 - VALIDITY_TOL)
+
+
 def validity(ms: MetricState) -> bool:
     """True while the smaller metric eigenvalue stays at or above one."""
-    return bool(ms.lambda_minus >= 1.0 - VALIDITY_TOL)
+    return bool(_valid(ms.lambda_minus))
 
 
 # --- scan helpers ------------------------------------------------------------
@@ -313,44 +319,40 @@ def refined_d1_bound(
 
 
 def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
-    """First t in (t_lo, t_hi] where lam_minus crosses one, or None.  Where
-    l leaves double range lam_minus reads as 0, since it is below
+    """First t in (t_lo, t_hi] where the dilation turns invalid, or None.
+    Where l leaves double range lam_minus reads as 0, since it is below
     2 |D0 D1|^2 Delta / l there; only at t_lo is that an overflow error.
     The grid is evaluated in passes of SCAN_CHUNK points, up to the first
-    pass that holds a crossing."""
+    pass that holds an invalid point.  The step into it is then narrowed
+    in passes over the REFINE_POINTS - 2 interior points of the bracket,
+    each keeping the first valid-to-invalid step, until it is
+    BREAKDOWN_XTOL wide."""
     if t_hi > basis.horizon:
         raise OverflowRangeError(
             f"t_max = {t_hi} beyond the numeric horizon {basis.horizon:.3f} of this basis"
         )
 
-    def scalars(ts):   # (l, lam_minus - 1)
-        _, _, l, _, lam_m = _scalars_double(d, basis.dual_amplitudes(ts), basis.gram_det)
-        return l, lam_m - 1.0
+    def scalars(ts):   # (l, lam_minus)
+        return _scalars_double(d, basis.dual_amplitudes(ts), basis.gram_det)[2::2]
 
     ts = _grid(t_lo, t_hi)
-    l, f = scalars(ts[:SCAN_CHUNK])
-    if f[0] < -VALIDITY_TOL:
+    l, lam_m = scalars(ts[:SCAN_CHUNK])
+    if not _valid(lam_m[0]):
         if not math.isfinite(l[0]):
             raise OverflowRangeError(f"metric scalars exceed double range at t = {t_lo}")
-        raise InvalidMetricError(
-            f"dilation invalid already at t = {t_lo:g} (lambda_minus = {1.0 + f[0]})"
-        )
-    k = 0   # f[i] is the drop at ts[k + i]
-    while True:
-        drops = np.flatnonzero((f[:-1] >= 0.0) & (f[1:] < 0.0))   # f[i] >= 0 > f[i + 1]
-        if drops.size:
-            break
-        if k + f.size == ts.size:
+        raise InvalidMetricError(f"dilation invalid already at t = {t_lo:g} (lambda_minus = {lam_m[0]})")
+    k = 0   # lam_m[i] is lambda_minus at ts[k + i]
+    while _valid(lam_m).all():
+        k += lam_m.size
+        if k == ts.size:
             return None
-        k += f.size - 1   # carry the last point into the next pass
-        f = np.concatenate([f[-1:], scalars(ts[k + 1:k + 1 + SCAN_CHUNK])[1]])
-    lo, hi = float(ts[k + drops[0]]), float(ts[k + drops[0] + 1])
-    while hi - lo > BISECT_XTOL:
-        mid = (lo + hi) / 2.0
-        if scalars(np.array([mid]))[1][0] >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lam_m = scalars(ts[k:k + SCAN_CHUNK])[1]
+    k += int(np.argmin(_valid(lam_m)))   # ts[k - 1] is valid, ts[k] is not
+    lo, hi = float(ts[k - 1]), float(ts[k])
+    while hi - lo > BREAKDOWN_XTOL:
+        pts = np.linspace(lo, hi, REFINE_POINTS)
+        i = int(np.argmin(np.append(_valid(scalars(pts[1:-1])[1]), False)))   # pts[i + 1] is invalid
+        lo, hi = float(pts[i]), float(pts[i + 1])
     return (lo + hi) / 2.0
 
 
@@ -362,17 +364,9 @@ def breakdown_time(
 ) -> float | None:
     """First t in (0, t_max] where lam_minus crosses one, or None.
 
-    Scans with step 1e-3 and bisects the first sign change down to 1e-9.
+    Scans with step 1e-3 and narrows the first invalid step to 1e-9 in passes of 33 points.
     """
     return _breakdown_scan(d, 0.0, float(t_max), _basis_for(p, basis))
-
-
-@lru_cache(maxsize=256)
-def _breakdown_cached(
-    p: HamiltonianParams, d: DilationParams, t_start: float, t_end: float, basis: SolutionBasis
-) -> float | None:
-    """Breakdown time inside the span (t_start, t_end], memoized."""
-    return _breakdown_scan(d, t_start, t_end, basis)
 
 
 def metric_asymptotics(

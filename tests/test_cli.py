@@ -251,6 +251,15 @@ class TestBreakdownCommand:
         report = json.loads((tmp_path / "breakdown.json").read_text())
         assert report["breakdown_time"] is None
 
+    def test_start_valid_within_the_tolerance(self, tmp_path):
+        # lambda_minus(0) = 1 - 5e-13 is valid; it turns invalid at t = 1.0e-6
+        scn = _write_scenario(tmp_path / "s.json", d0_sq=1.0 - 5e-13, t_end=2.0)
+        assert main(["breakdown", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "breakdown.json").read_text())
+        expected = breakdown_time(HamiltonianParams(1.0, 0.5), DilationParams(1.0 - 5e-13, 238.0), 2.0)
+        assert report["breakdown_time"] == pytest.approx(expected, rel=1e-11)
+        assert report["breakdown_time"] == pytest.approx(1.0e-6, abs=1e-9)
+
     def test_overflow_near_the_omega_floor_reported_at_once(self, tmp_path):
         # l overflows at t = 0 just above the Whittaker omega floor, and the
         # scan's first pass of points must cost little; the knot table starts cold
@@ -277,6 +286,31 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "4.000" in err
+
+    def test_breakdown_just_after_a_start_valid_within_the_tolerance(self, tmp_path, capsys):
+        scn = _write_scenario(tmp_path / "s.json", d0_sq=1.0 - 5e-13, t_end=2.0)
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 3
+        assert "dilation breaks down at" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # loose integrator tolerances: upper deviation 4.9e-4
+            {"t_end": 3.9, "grid_step": 0.1, "tolerances": {"rel_tol": 0.01, "max_step": 0.5}},
+            # the Whittaker basis from t = 0: upper deviation 1.06e-2
+            {"omega": 1.0, "t_end": 1.5, "grid_step": 0.1, "initial_state": [0.6, 0.1, 0.3, -0.7]},
+        ],
+        ids=["loose_tolerances", "whittaker_from_zero"],
+    )
+    def test_missed_gate_warns_and_exits_0(self, tmp_path, capsys, overrides):
+        scn = _write_scenario(tmp_path / "s.json", **overrides)
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        assert summary["max_upper_deviation"] > 1e-6
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            f"warning: simulate misses its gate: max_upper_deviation = {summary['max_upper_deviation']:.3e} > 1e-06"
+        ]
 
     def test_guard_scans_only_the_span(self, tmp_path):
         # lambda_minus(0) = 0.9 < 1, but lambda_minus >= 1.31 on [2, 3.5]

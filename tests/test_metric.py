@@ -30,7 +30,7 @@ from ptdilate.metric import (
 )
 from ptdilate.evolve import propagate_analytic
 from ptdilate.model import HamiltonianParams
-from ptdilate.solutions import Representation, solution_basis
+from ptdilate.solutions import Representation, SolutionBasis, solution_basis
 
 # the package re-exports the function `metric`, which shadows the module name
 metric_module = importlib.import_module("ptdilate.metric")
@@ -347,13 +347,37 @@ class TestBreakdown:
 
     @pytest.mark.parametrize("d1_sq, t_max", [(238.0, 5.0), (4.13, 2.5), (238.0, 2.0)])
     def test_scan_passes_do_not_move_the_crossing(self, monkeypatch, d1_sq, t_max):
-        # passes of 7 points put many crossings of pass boundaries before
-        # the drop, and the carried point must stand in for the left one
+        # passes of 7 points put many pass boundaries before the drop, and
+        # a drop at the first point of a pass starts at the previous pass's last
         d = DilationParams(3.5, d1_sq)
         whole = breakdown_time(P, d, t_max)
         for chunk in (7, 2, 10**6):
             monkeypatch.setattr(metric_module, "SCAN_CHUNK", chunk)
             assert breakdown_time(P, d, t_max) == whole
+
+    def test_start_valid_within_the_tolerance(self):
+        # lambda_minus(0) = 1 - 5e-13 passes VALIDITY_TOL but never reaches
+        # one, and drops out of the tolerance at t = 1.0e-6
+        d = DilationParams(1.0 - 5e-13, 238.0)
+        assert validity(metric(P, d, 0.0)) is True
+        t_break = breakdown_time(P, d, 2.0)
+        assert t_break is not None
+        assert t_break == pytest.approx(_first_invalid_time(d, 2.0), abs=1e-9)
+        assert t_break == pytest.approx(1.0e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("omega", [0.5, 0.37])
+    def test_search_evaluates_no_single_point(self, monkeypatch, omega):
+        # the crossing is narrowed in array passes, not by one-point bisection
+        sizes = []
+        dual_amplitudes = SolutionBasis.dual_amplitudes
+
+        def counted(self, t):
+            sizes.append(np.size(t))
+            return dual_amplitudes(self, t)
+
+        monkeypatch.setattr(SolutionBasis, "dual_amplitudes", counted)
+        assert breakdown_time(HamiltonianParams(1.0, omega), D_REF, 5.0) is not None
+        assert sizes and min(sizes) > 1
 
     def test_overflow_at_start_is_not_blamed_on_the_dilation(self):
         # just above the Whittaker omega floor l overflows at t = 0, so
@@ -379,6 +403,23 @@ def _per_point_breakdown(d, t_max):
                     hi = mid
             return (lo + hi) / 2.0
         prev = cur
+    return None
+
+
+def _first_invalid_time(d, t_max):
+    """First t where validity(metric(.)) is False, per point: a 1e-3 grid
+    up to the first invalid point, then bisection down to 1e-12."""
+    ts = np.linspace(0.0, t_max, int(round(t_max / 1e-3)) + 1)
+    for lo, hi in zip(ts[:-1], ts[1:]):
+        if not validity(metric(P, d, float(hi))):
+            lo, hi = float(lo), float(hi)
+            while hi - lo > 1e-12:
+                mid = (lo + hi) / 2.0
+                if validity(metric(P, d, mid)):
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
     return None
 
 

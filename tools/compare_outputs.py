@@ -63,8 +63,10 @@ INVOCATIONS = [
     # an interval that does not start at 0: every bound slices [t_start, t_end]
     ("bounds_span", ["bounds"], {"t_start": 2.0, "t_end": 3.5, "d0_sq": 0.9}),
     ("breakdown", ["breakdown", "--tmax", "5.0"], None),
-    # general omega: the Whittaker basis, with a crossing at t = 1.3966 for the bisection
+    # general omega: the Whittaker basis, with a crossing at t = 1.3966 for the refinement passes
     ("breakdown_general", ["breakdown", "--tmax", "1.5"], {"omega": 1.3, "d1_sq": 2.0}),
+    # lambda_minus(0) = 1 - 5e-13 counts as valid; it turns invalid at t = 1.0e-6
+    ("breakdown_edge", ["breakdown"], {"d0_sq": 0.9999999999995, "t_end": 2.0}),
     ("dilate_hermitian_part", ["dilate"], {"t_end": 3.9, "grid_step": 0.01}),
     ("dilate_mirror", ["dilate", "--h4-mode", "mirror"], {"t_end": 3.9, "grid_step": 0.01}),
     # general omega: Re eta_10 != 0, so every entry of eta - 1 enters tau;
