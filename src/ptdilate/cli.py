@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  imported by argparse's gettext on first use; here it is start-up
 import math
 import sys
 import warnings

@@ -237,8 +237,9 @@ def _integrate_magnus(
     cell_starts, cell_steps = _verified_cells(generator, t0, t1, cfg.max_step, rel_tol)
     # pieces between grid points and cell edges, each inside one cell and
     # crossed in its verified step; a piece of a rounding's length takes none
-    edges = np.union1d(np.append(cell_starts, t1), grid)
-    edges = edges[edges <= grid[-1]]
+    # sorted and deduplicated by hand: np.union1d loads numpy.ma on first use
+    edges = np.sort(np.concatenate([cell_starts, [t1], grid]))
+    edges = edges[np.append(True, edges[1:] != edges[:-1]) & (edges <= grid[-1])]
     cell = np.maximum(np.searchsorted(cell_starts, edges[:-1], side="right") - 1, 0)
     counts = np.ceil(np.diff(edges) / cell_steps[cell] - 1e-9).astype(int)
     states = _magnus_run(generator, psi0, edges, counts)[np.searchsorted(edges, grid)]

@@ -322,10 +322,10 @@ def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
     """First t in (t_lo, t_hi] where the dilation turns invalid, or None.
     Where l leaves double range lam_minus reads as 0, since it is below
     2 |D0 D1|^2 Delta / l there; only at t_lo is that an overflow error.
-    The grid is evaluated in passes of SCAN_CHUNK points, up to the first
-    pass that holds an invalid point.  The step into it is then narrowed
-    in passes over the REFINE_POINTS - 2 interior points of the bracket,
-    each keeping the first valid-to-invalid step, until it is
+    The grid is evaluated in equal passes of at most SCAN_CHUNK points, up
+    to the first pass that holds an invalid point.  The step into it is
+    then narrowed in passes over the REFINE_POINTS - 2 interior points of
+    the bracket, each keeping the first valid-to-invalid step, until it is
     BREAKDOWN_XTOL wide."""
     if t_hi > basis.horizon:
         raise OverflowRangeError(
@@ -336,18 +336,20 @@ def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
         return _scalars_double(d, basis.dual_amplitudes(ts), basis.gram_det)[2::2]
 
     ts = _grid(t_lo, t_hi)
-    l, lam_m = scalars(ts[:SCAN_CHUNK])
-    if not _valid(lam_m[0]):
-        if not math.isfinite(l[0]):
-            raise OverflowRangeError(f"metric scalars exceed double range at t = {t_lo}")
-        raise InvalidMetricError(f"dilation invalid already at t = {t_lo:g} (lambda_minus = {lam_m[0]})")
-    k = 0   # lam_m[i] is lambda_minus at ts[k + i]
-    while _valid(lam_m).all():
-        k += lam_m.size
-        if k == ts.size:
-            return None
-        lam_m = scalars(ts[k:k + SCAN_CHUNK])[1]
-    k += int(np.argmin(_valid(lam_m)))   # ts[k - 1] is valid, ts[k] is not
+    k = 0   # ts[k] is the first point of the pass
+    for part in np.array_split(ts, -(-ts.size // SCAN_CHUNK)):
+        l, lam_m = scalars(part)
+        if k == 0 and not _valid(lam_m[0]):
+            if not math.isfinite(l[0]):
+                raise OverflowRangeError(f"metric scalars exceed double range at t = {t_lo}")
+            raise InvalidMetricError(f"dilation invalid already at t = {t_lo:g} (lambda_minus = {lam_m[0]})")
+        valid = _valid(lam_m)
+        if not valid.all():
+            break
+        k += part.size
+    else:
+        return None
+    k += int(np.argmin(valid))   # ts[k - 1] is valid, ts[k] is not
     lo, hi = float(ts[k - 1]), float(ts[k])
     while hi - lo > BREAKDOWN_XTOL:
         pts = np.linspace(lo, hi, REFINE_POINTS)

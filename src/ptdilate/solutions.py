@@ -11,10 +11,11 @@ form, which is the canonical normalization:
     gamma = -i sqrt(2) erfi(t / sqrt(2))
     delta = e^{t^2/2} - sqrt(2) t erfi(t / sqrt(2))
 
-with the prefactor-free erfi(x) = e^{x^2} F(x) of `specfun`, F Dawson's
-integral (DLMF 7.2.5).  delta = e^{t^2/2} (1 - 2 x F(x)), x = t / sqrt(2),
-does not cancel in doubles.  The Whittaker representation is never rescaled
-onto the closed form; cross-representation checks compare ratios only.
+with the prefactor-free erfi(x) = e^{x^2} F(x), F Dawson's integral (DLMF
+7.2.5), taken from `specfun.dawson`, a numpy Taylor table.  delta =
+e^{t^2/2} (1 - 2 x F(x)), x = t / sqrt(2), does not cancel in doubles.
+The Whittaker representation is never rescaled onto the closed form;
+cross-representation checks compare ratios only.
 
 The Whittaker pair is evaluated in doubles.  Per sweep rate, one cached
 table holds both columns at knots from 0 to just past the horizon, built
@@ -37,7 +38,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import dawsn
 
 from .errors import DomainError, OverflowRangeError, ValidationError
 from .model import HamiltonianParams
@@ -45,6 +45,7 @@ from .specfun import (
     Ray,
     _erfi_series_mp,
     _whittaker_mp,
+    dawson,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ def _closed_half_amplitudes(ts: np.ndarray) -> np.ndarray:
             f"closed-form basis is limited to |t| <= {CLOSED_FORM_T_MAX} without rescaling"
         )
     x = ts / math.sqrt(2.0)
-    f = dawsn(x)  # Dawson's integral F(x)
+    f = dawson(x)
     growth = np.exp(x * x)
     gamma, delta = -1j * math.sqrt(2.0) * growth * f, growth * (1.0 - 2.0 * x * f)
     g = np.exp(-ts * ts / 4.0)

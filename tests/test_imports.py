@@ -1,6 +1,7 @@
-"""The CLI's import path: no command loads scipy's optimizers, integrators
-or linear algebra; only `evolve.integrate_linear` loads scipy.integrate,
-on its first call."""
+"""The CLI's import path: `import ptdilate.cli` loads nothing from scipy,
+no command loads scipy or imports any module for the first time inside
+`main()`, so that every import counts as start-up; only
+`evolve.integrate_linear` loads scipy.integrate, on its first call."""
 
 import json
 import subprocess
@@ -12,30 +13,30 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # run in a fresh interpreter, so that nothing this test session imported
-# counts; prints one JSON line
+# counts; it imports nothing but json, os and sys before the CLI and
+# prints one JSON line
 SCRIPT = r"""
-import json, os, sys, tempfile
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
-HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+out = sys.argv[2]
 
-def loaded():
-    return [m for m in HEAVY if m in sys.modules]
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 report = {}
 import ptdilate.cli
-report["import"] = loaded()
+report["import"] = scipy_loaded()
+before = set(sys.modules)
 
-with tempfile.TemporaryDirectory() as tmp:
-    scenario = os.path.join(tmp, "omega037.json")
-    with open(scenario, "w") as fh:
-        json.dump({"E": 1.0, "omega": 0.37, "d0_sq": 3.5, "d1_sq": 238.0,
-                   "t_start": 0.0, "t_end": 2.0, "grid_step": 0.05}, fh)
-    report["codes"] = [
-        ptdilate.cli.main(["paper-figures", "--out", os.path.join(tmp, "figures")]),
-        ptdilate.cli.main(["simulate", "--scenario", scenario, "--out", os.path.join(tmp, "simulate")]),
-        ptdilate.cli.main(["metric-scan", "--scenario", scenario, "--out", os.path.join(tmp, "scan")]),
-    ]
-report["commands"] = loaded()
+report["codes"] = {}
+for omega in ("0.5", "0.37"):
+    scenario = os.path.join(out, f"omega{omega}.json")
+    for command in ptdilate.cli._COMMANDS:
+        argv = [command, "--scenario", scenario, "--out", os.path.join(out, omega, command)]
+        report["codes"][f"{command} {omega}"] = ptdilate.cli.main(argv)
+report["codes"]["paper-figures"] = ptdilate.cli.main(["paper-figures", "--out", os.path.join(out, "figures")])
+report["commands"] = scipy_loaded()
+report["first_imported_in_main"] = sorted(set(sys.modules) - before)
 
 import numpy as np
 from ptdilate.evolve import EvolutionConfig, integrate_linear
@@ -51,9 +52,15 @@ print(json.dumps(report))
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli")
+    for omega in ("0.5", "0.37"):
+        (out / f"omega{omega}.json").write_text(json.dumps(
+            {"E": 1.0, "omega": float(omega), "d0_sq": 3.5, "d1_sq": 238.0,
+             "t_start": 0.0, "t_end": 2.0, "grid_step": 0.05}
+        ))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(SRC)],
+        [sys.executable, "-c", SCRIPT, str(SRC), str(out)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -67,8 +74,13 @@ def test_importing_the_cli_loads_no_heavy_scipy(report):
 
 
 def test_commands_load_no_heavy_scipy(report):
-    assert report["codes"] == [0, 0, 0]
+    assert len(report["codes"]) == 15
+    assert set(report["codes"].values()) == {0}
     assert report["commands"] == []
+
+
+def test_commands_import_no_module_at_run_time(report):
+    assert report["first_imported_in_main"] == []
 
 
 def test_integrate_linear_loads_scipy_on_first_call(report):

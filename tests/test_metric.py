@@ -365,9 +365,9 @@ class TestBreakdown:
         assert t_break == pytest.approx(_first_invalid_time(d, 2.0), abs=1e-9)
         assert t_break == pytest.approx(1.0e-6, abs=1e-9)
 
-    @pytest.mark.parametrize("omega", [0.5, 0.37])
-    def test_search_evaluates_no_single_point(self, monkeypatch, omega):
-        # the crossing is narrowed in array passes, not by one-point bisection
+    @pytest.fixture
+    def basis_call_sizes(self, monkeypatch):
+        """The number of times in each SolutionBasis.dual_amplitudes call."""
         sizes = []
         dual_amplitudes = SolutionBasis.dual_amplitudes
 
@@ -376,8 +376,19 @@ class TestBreakdown:
             return dual_amplitudes(self, t)
 
         monkeypatch.setattr(SolutionBasis, "dual_amplitudes", counted)
+        return sizes
+
+    @pytest.mark.parametrize("omega", [0.5, 0.37])
+    def test_search_evaluates_no_single_point(self, basis_call_sizes, omega):
+        # the crossing is narrowed in array passes, not by one-point bisection
         assert breakdown_time(HamiltonianParams(1.0, omega), D_REF, 5.0) is not None
-        assert sizes and min(sizes) > 1
+        assert basis_call_sizes and min(basis_call_sizes) > 1
+
+    def test_scan_passes_are_balanced(self, basis_call_sizes):
+        # 2001 grid points to t_max = 2 and no crossing: three passes of
+        # 667, not 1000, 1000 and a one-point pass
+        assert breakdown_time(P, D_REF, 2.0) is None
+        assert basis_call_sizes == [667, 667, 667]
 
     def test_overflow_at_start_is_not_blamed_on_the_dilation(self):
         # just above the Whittaker omega floor l overflows at t = 0, so

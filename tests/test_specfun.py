@@ -16,6 +16,8 @@ from ptdilate.errors import (
 )
 from ptdilate.specfun import (
     ASYM_CROSSOVER,
+    DAWSON_CELL,
+    DAWSON_TABLE_MAX,
     Ray,
     RayArgument,
     WhittakerIndex,
@@ -23,6 +25,7 @@ from ptdilate.specfun import (
     _hyp1f1,
     _whittaker_asym_mp,
     _whittaker_series_mp,
+    dawson,
     erfi,
     hermite_poly,
     whittaker_w,
@@ -222,11 +225,65 @@ class TestErfi:
         with pytest.raises(OverflowRangeError):
             erfi(20.5)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_range_ends_at_twenty(self, sign):
+        assert math.isfinite(erfi(sign * 20.0))
+        with pytest.raises(OverflowRangeError):
+            erfi(sign * np.nextafter(20.0, 21.0))
+
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_derivative_is_gaussian(self, x):
         h = 1e-6
         deriv = (erfi(x + h) - erfi(x - h)) / (2.0 * h)
         assert deriv == pytest.approx(math.exp(x * x), rel=1e-6)
+
+
+def _dawson_oracle(x: float) -> float:
+    """F(x) = e^{-x^2} integral_0^x e^{s^2} ds at 30 digits, rounded once."""
+    with mp.workdps(30):
+        xm = mp.mpf(x)
+        return float(mp.sqrt(mp.pi) / 2 * mp.exp(-xm * xm) * mp.erfi(xm))
+
+
+class TestDawson:
+    # a uniform grid, the table's cell centres and cell edges, both sides
+    # of the switch to the asymptotic series, and random points
+    POINTS = np.concatenate([
+        np.linspace(-20.0, 20.0, 801),
+        np.arange(0.0, DAWSON_TABLE_MAX + 0.5, DAWSON_CELL),
+        np.arange(DAWSON_CELL / 2.0, DAWSON_TABLE_MAX + 0.5, DAWSON_CELL),
+        [1e-300, 1e-8, np.nextafter(DAWSON_TABLE_MAX, 0.0), np.nextafter(DAWSON_TABLE_MAX, 9.0)],
+        np.random.default_rng(7).uniform(-20.0, 20.0, 500),
+    ])
+
+    def test_against_mpmath(self):
+        ref = np.array([_dawson_oracle(x) for x in self.POINTS])
+        value = dawson(self.POINTS)
+        nonzero = ref != 0.0
+        assert np.all(value[~nonzero] == 0.0)
+        assert (np.abs(value[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])).max() <= 2e-15
+
+    def test_zero_is_exact(self):
+        assert dawson(0.0) == 0.0
+        assert dawson(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_odd(self):
+        assert np.array_equal(dawson(-self.POINTS), -dawson(self.POINTS))
+
+    def test_scalar_matches_one_point_array(self):
+        for x in self.POINTS[::7]:
+            value = dawson(float(x))
+            assert isinstance(value, float)
+            assert value == dawson(np.array([x]))[0]
+
+    def test_shape_follows_the_input(self):
+        x = np.linspace(-3.0, 9.0, 12).reshape(3, 4)
+        assert dawson(x).shape == (3, 4)
+        assert np.array_equal(dawson(x).ravel(), dawson(x.ravel()))
+        assert dawson(np.array([])).shape == (0,)
+
+    def test_nan_propagates(self):
+        assert math.isnan(dawson(math.nan))
 
 
 class TestErfiSeriesMp:
