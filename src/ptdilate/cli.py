@@ -26,6 +26,7 @@ from .evolve import EvolutionConfig, _efficiency, _eta_norm, propagate_analytic,
 from .metric import (
     DilationParams,
     _grid,
+    _scalars,
     _valid,
     approx_bounds_interval,
     breakdown_time,
@@ -198,14 +199,14 @@ def cmd_spectrum(scn: Scenario, out: Path) -> None:
     })
 
 
-def _write_lambda_csv(path: Path, p, d, grid, basis) -> None:
-    lam_p, lam_m = eigenvalues(p, d, grid, basis)
+def _write_lambda_csv(path: Path, grid, lam_p, lam_m) -> None:
     valid = np.where(_valid(lam_m), "1", "0")
     _write_csv(path, {"t": grid, "lambda_minus": lam_m, "lambda_plus": lam_p, "valid": valid})
 
 
 def cmd_metric_scan(scn: Scenario, out: Path) -> None:
-    _write_lambda_csv(out / "metric_scan.csv", scn.params, scn.dparams, scn.grid(), solution_basis(scn.params))
+    grid = scn.grid()
+    _write_lambda_csv(out / "metric_scan.csv", grid, *eigenvalues(scn.params, scn.dparams, grid))
 
 
 def cmd_bounds(scn: Scenario, out: Path) -> None:
@@ -310,11 +311,10 @@ def cmd_efficiency(scn: Scenario, out: Path) -> None:
     })
 
 
+# (t_end, [(tag, |D1|^2), ...]): the tables of one t_end share their grid
 _FIGURE_SETS = [
-    ("238", 238.0, 5.0),
-    ("1474", 1474.0, 5.0),
-    ("4p13", 4.13, 2.5),
-    ("4p634", 4.634, 2.5),
+    (5.0, [("238", 238.0), ("1474", 1474.0)]),
+    (2.5, [("4p13", 4.13), ("4p634", 4.634)]),
 ]
 
 
@@ -324,12 +324,14 @@ def cmd_paper_figures(out: Path, grid_step: float = 1e-3) -> None:
     basis = solution_basis(p)
     d0_sq = 3.5
     thresholds: dict = {"d0_sq": d0_sq}
-    for tag, d1_sq, t_end in _FIGURE_SETS:
-        d = DilationParams(d0_sq, d1_sq)
-        scn = Scenario(d1_sq=d1_sq, t_start=0.0, t_end=t_end, grid_step=grid_step).validate()
-        _write_lambda_csv(out / f"lambda_minus_d{tag}.csv", p, d, scn.grid(), basis)
-        t_break = breakdown_time(p, d, t_end)
-        thresholds[f"breakdown_{tag}"] = None if t_break is None else _round12(t_break)
+    for t_end, tables in _FIGURE_SETS:
+        grid = Scenario(t_start=0.0, t_end=t_end, grid_step=grid_step).validate().grid()
+        y = basis.dual_amplitudes(grid)
+        for tag, d1_sq in tables:
+            d = DilationParams(d0_sq, d1_sq)
+            _write_lambda_csv(out / f"lambda_minus_d{tag}.csv", grid, *_scalars(d, grid, basis, y)[3:])
+            t_break = breakdown_time(p, d, t_end)
+            thresholds[f"breakdown_{tag}"] = None if t_break is None else _round12(t_break)
     d0_min, d1_min = approx_bounds_interval(p, (0.0, 4.0), basis)
     thresholds["approx_d0_min_0_4"] = _round12(d0_min)
     thresholds["approx_d1_min_0_4"] = _round12(d1_min)

@@ -23,9 +23,10 @@ everywhere but at lam_minus = 1, where tau is not differentiable.
 The dilated generator is assembled from the two exact block conditions
 h1 + h2 tau = H and h2^dag + h4 tau = i tau' + tau H; h4 is a gauge choice
 (Hermitian part of H, or the mirror choice h4 = [H + (i tau' + tau H) tau]
-eta^-1, which equals H + h2^dag tau).  Past breakdown h1 picks up a nonzero
-Hermiticity defect.  `assemble_dilated` takes a float or a 1-D array of
-times, as `metric` does; over n times every block is an (n, ., .) stack.
+eta^-1, which equals H + h2^dag tau; eta^-1 = adj(eta) / (lam_+ lam_-)).
+Past breakdown h1 picks up a nonzero Hermiticity defect.  `assemble_dilated`
+takes a float or a 1-D array of times, as `metric` does; over n times every
+block is an (n, ., .) view of a time-last (., ., n) stack, like eta.
 """
 
 from __future__ import annotations
@@ -140,45 +141,50 @@ def tau_derivative(
     return _tau_dot(ms, _root(ms))
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for time-last (m, m, n) stacks, accumulated over the inner
+    index, so that no (m, m, m, n) temporary is made."""
+    out = a[:, :1] * b[None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[None, j]
+    return out
 
 
-def _h4_from_pieces(mode, H, eta, tau, tau_dot, ts):
-    """h4 and its largest relative Hermiticity residual over the (n, 2, 2)
-    stacks at the times ts."""
+def _h4_from_pieces(mode, ms, H, g, tau):
+    """h4 and its largest relative Hermiticity residual over the time-last
+    (2, 2, n) stacks, where g = i tau' + tau H."""
     if mode is H4Mode.HERMITIAN_PART:
-        return 0.5 * (H + _adjoint(H)), 0.0
-    h4 = (H + (1j * tau_dot + tau @ H) @ tau) @ np.linalg.inv(eta)
-    residuals = np.abs(h4 - _adjoint(h4)).max(axis=(1, 2)) / np.maximum(1.0, np.abs(h4).max(axis=(1, 2)))
+        return 0.5 * (H + H.conj().swapaxes(0, 1)), 0.0
+    eta = ms.eta   # eta^-1 = adj(eta) / det eta, with det eta = lam_+ lam_-
+    eta_inv = np.array([[eta[1, 1], -eta[0, 1]], [-eta[1, 0], eta[0, 0]]]) / (ms.lambda_plus * ms.lambda_minus)
+    h4 = _matmul(H + _matmul(g, tau), eta_inv)
+    residuals = np.abs(h4 - h4.conj().swapaxes(0, 1)).max(axis=(0, 1)) / np.maximum(1.0, np.abs(h4).max(axis=(0, 1)))
     k = int(np.argmax(residuals))
     if residuals[k] > H4_HERMITICITY_TOL:
         warnings.warn(
-            f"mirror h4 deviates from Hermiticity by {residuals[k]:.3e} at t = {ts[k]}",
+            f"mirror h4 deviates from Hermiticity by {residuals[k]:.3e} at t = {ms.t[k]}",
             stacklevel=3,
         )
     return h4, float(residuals[k])
 
 
-def _blocks(H, tau, tau_dot, h4):
-    """h2^dag = i tau' + tau H - h4 tau and h1 = H - h2 tau, straight from
-    the two block conditions; no adjoint of tau enters, so the same blocks
-    serve the principal root past breakdown."""
-    h2_dag = 1j * tau_dot + tau @ H - h4 @ tau
-    h2 = _adjoint(h2_dag)
-    h1 = H - h2 @ tau
-    hh = np.empty(H.shape[:-2] + (4, 4), dtype=complex)
-    hh[..., :2, :2], hh[..., :2, 2:], hh[..., 2:, :2], hh[..., 2:, 2:] = h1, h2, h2_dag, h4
-    return h1, h2, hh
-
-
 def _assemble(ms: MetricState, mode: H4Mode) -> DilatedHamiltonian:
-    """Generator over the 1-D time axis of ms, as (n, ., .) stacks."""
+    """Generator over the 1-D time axis of ms, as (n, ., .) views of
+    time-last stacks.  h2^dag = g - h4 tau and h1 = H - h2 tau, where
+    g = i tau' + tau H, come straight from the two block conditions; no
+    adjoint of tau enters, so the same blocks serve the principal root
+    past breakdown."""
     root = _root(ms)
-    tau, tau_dot = (np.moveaxis(m, -1, 0) for m in (root[-1], _tau_dot(ms, root)))
-    H = hamiltonian(ms.params, ms.t)
-    h4, h4_residual = _h4_from_pieces(mode, H, np.moveaxis(ms.eta, -1, 0), tau, tau_dot, ms.t)
-    h1, h2, hh = _blocks(H, tau, tau_dot, h4)
+    tau = root[-1]
+    H = hamiltonian(ms.params, ms.t).transpose(1, 2, 0)
+    g = 1j * _tau_dot(ms, root) + _matmul(tau, H)
+    h4, h4_residual = _h4_from_pieces(mode, ms, H, g, tau)
+    h2_dag = g - _matmul(h4, tau)
+    h2 = h2_dag.conj().swapaxes(0, 1)
+    h1 = H - _matmul(h2, tau)
+    hh = np.empty((4, 4) + H.shape[2:], dtype=complex)
+    hh[:2, :2], hh[:2, 2:], hh[2:, :2], hh[2:, 2:] = h1, h2, h2_dag, h4
+    h1, h2, h4, hh, tau = (m.transpose(2, 0, 1) for m in (h1, h2, h4, hh, tau))
     return DilatedHamiltonian(h1=h1, h2=h2, h4=h4, hh=hh, h4_residual=h4_residual, tau=tau)
 
 

@@ -9,17 +9,18 @@ command pays for loading them.
 `simulate_dilated` takes sixth-order Magnus steps over the 4x4 generator,
 which is assembled in array passes of `CHUNK_STEPS` steps, three
 Gauss-Legendre nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-(2009)).  Each step's exponential comes from an eigendecomposition of the
-Hermitian part of i Omega, so every step is unitary and the norm holds by
-construction.  Step lengths are verified before the output run: the span
-is cut into cells no longer than `max_step`, and a cell is halved until
-the Richardson estimate of its error, ||two half steps - one step||_F / 63,
-is within `rel_tol` times the cell's share of the span.  Unitary steps do
-not amplify earlier errors, so these local errors add up to at most
-`rel_tol` of ||Psi||; cells refine only where the generator is steep, as
-just before a breakdown, where tau' grows like 1 / sqrt(lam_minus - 1).
-The output run then crosses each piece between grid points and cell edges
-in its cell's verified step.  `abs_tol` is read by `integrate_linear` only.
+(2009)).  Omega is combined in time-last (m, m, n) stacks; each step's
+exponential comes from an eigendecomposition of the Hermitian part of
+i Omega, so every step is unitary and the norm holds by construction.
+Step lengths are verified before the output run: the span is cut into
+cells no longer than `max_step`, and a cell is halved until the Richardson
+estimate of its error, ||two half steps - one step||_F / 63, is within
+`rel_tol` times the cell's share of the span.  Unitary steps do not amplify
+earlier errors, so these local errors add up to at most `rel_tol` of
+||Psi||; cells refine only where the generator is steep, as just before a
+breakdown, where tau' grows like 1 / sqrt(lam_minus - 1).  The output run
+then crosses each piece between grid points and cell edges in its cell's
+verified step.  `abs_tol` is read by `integrate_linear` only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dilation import H4Mode, assemble_dilated, tau_from_metric
+from .dilation import H4Mode, _matmul, assemble_dilated, tau_from_metric
 from .errors import BreakdownError, IntegrationError, ValidationError
 from .metric import DilationParams, _abs2, _breakdown_scan, _valid, metric
 from .model import HamiltonianParams
@@ -141,19 +142,19 @@ def integrate_linear(
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+    return _matmul(a, b) - _matmul(b, a)
 
 
 def _magnus_steps(generator, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Unitary sixth-order Magnus propagators, shape (n, m, m), of the n
     steps [starts, starts + widths] of i v' = M(t) v; generator maps a 1-D
-    array of times to the stacked Hermitian M."""
+    array of times to the (3n, m, m) Hermitian M, best a view of a time-last array."""
     ts = (starts[:, None] + widths[:, None] * _GL_NODES).ravel()
-    M = generator(ts)
-    finite = np.isfinite(M).all(axis=(1, 2))
+    M = generator(ts).transpose(1, 2, 0)
+    finite = np.isfinite(M).all(axis=(0, 1))
     if not finite.all():
         raise IntegrationError(f"generator is not finite at t = {ts[~finite][0]}")
-    a1, a2, a3 = (-1j * widths[:, None, None] * M[k::3] for k in range(3))
+    a1, a2, a3 = (-1j * widths * M[..., k::3] for k in range(3))
     alpha1 = a2
     alpha2 = math.sqrt(15.0) / 3.0 * (a3 - a1)
     alpha3 = 10.0 / 3.0 * (a3 - 2.0 * a2 + a1)
@@ -161,7 +162,7 @@ def _magnus_steps(generator, starts: np.ndarray, widths: np.ndarray) -> np.ndarr
     c2 = _commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
     omega = alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
     k = 1j * omega   # Hermitian up to rounding; exp(Omega) = exp(-i k)
-    w, v = np.linalg.eigh(0.5 * (k + k.conj().swapaxes(1, 2)))
+    w, v = np.linalg.eigh((0.5 * (k + k.conj().swapaxes(0, 1))).transpose(2, 0, 1))
     return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 

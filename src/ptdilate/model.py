@@ -55,11 +55,11 @@ class Spectrum(NamedTuple):
 
 def hamiltonian(p: HamiltonianParams, t) -> np.ndarray:
     """H(t) at a float t, shape (2, 2), or over a 1-D array of n times,
-    stacked: shape (n, 2, 2)."""
+    stacked: shape (n, 2, 2), a view of a time-last (2, 2, n) array."""
     sweep = 1j * p.omega * np.asarray(t, dtype=float)
-    H = np.ones(sweep.shape + (2, 2), dtype=complex)
-    H[..., 0, 0], H[..., 1, 1] = p.E + sweep, p.E - sweep
-    return H
+    H = np.ones((2, 2) + sweep.shape, dtype=complex)
+    H[0, 0], H[1, 1] = p.E + sweep, p.E - sweep
+    return H.transpose(*range(2, H.ndim), 0, 1)
 
 
 def instantaneous_spectrum(p: HamiltonianParams, t: float) -> Spectrum:

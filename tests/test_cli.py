@@ -16,7 +16,7 @@ from ptdilate.errors import OverflowRangeError, ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
 from ptdilate.metric import DilationParams, breakdown_time, eigenvalues, metric
 from ptdilate.model import HamiltonianParams
-from ptdilate.solutions import _whittaker_knots
+from ptdilate.solutions import SolutionBasis, _whittaker_knots
 
 
 def _write_scenario(path, **overrides):
@@ -439,6 +439,20 @@ class TestPaperFigures:
         assert thresholds["approx_d1_min_0_4p5"] == pytest.approx(1474.0, abs=1.0)
         assert thresholds["y0_norm_sq_2p1"] == pytest.approx(4.129, abs=0.005)
         assert thresholds["refined_d1_bound_2p1"] == pytest.approx(4.633, abs=0.005)
+
+    def test_each_table_grid_is_evaluated_once(self, tmp_path, monkeypatch):
+        # the tables for D1^2 = 238 and 1474 share the 5001 points of [0, 5],
+        # those for 4.13 and 4.634 the 2501 points of [0, 2.5]
+        sizes = []
+        dual_amplitudes = SolutionBasis.dual_amplitudes
+
+        def counted(self, t):
+            sizes.append(np.size(t))
+            return dual_amplitudes(self, t)
+
+        monkeypatch.setattr(SolutionBasis, "dual_amplitudes", counted)
+        assert main(["paper-figures", "--out", str(tmp_path)]) == 0
+        assert sizes.count(5001) == 1 and sizes.count(2501) == 1
 
     @pytest.mark.parametrize("step", ["0", "nan", "-0.5", "inf", "1e-12"])
     def test_bad_grid_step_exit_2(self, tmp_path, step):

@@ -357,6 +357,41 @@ class TestArrayAssembly:
             assert (np.abs(getattr(dh, name) - stacked) <= 1e-12 * scale).all(), name
         assert dh.h4_residual == pytest.approx(max(one.h4_residual for one in scalar), abs=1e-13)
 
+    @pytest.mark.parametrize("mode", [H4Mode.HERMITIAN_PART, H4Mode.MIRROR])
+    @pytest.mark.parametrize("omega, t0, t1", [(0.5, 0.0, 3.9), (0.37, 0.05, 2.0)])
+    def test_matches_per_time_block_oracle(self, mode, omega, t0, t1):
+        # per time, with np.matmul on (2, 2) matrices from metric and
+        # tau_derivative: h2^dag = i tau' + tau H - h4 tau, h1 = H - h2 tau;
+        # relative to max|hh| |tau|, the size of the h2 tau that cancels in h1
+        p = HamiltonianParams(1.0, omega)
+        basis = solution_basis(p)
+        ts = np.linspace(t0, t1, 25)
+        dh = assemble_dilated(p, D_REF, ts, mode, basis)
+        for k, t in enumerate(ts):
+            ms = metric(p, D_REF, float(t), basis)
+            tau, tau_dot, H = tau_from_metric(ms), tau_derivative(p, D_REF, float(t), basis), hamiltonian(p, float(t))
+            g = 1j * tau_dot + tau @ H
+            if mode is H4Mode.HERMITIAN_PART:
+                h4 = 0.5 * (H + H.conj().T)
+            else:   # h4 eta = H + g tau, checked without inverting eta
+                h4 = dh.h4[k]
+                assert np.abs(h4 @ ms.eta - H - g @ tau).max() <= 1e-13 * np.abs(H + g @ tau).max()
+            h2_dag = g - h4 @ tau
+            h1 = H - h2_dag.conj().T @ tau
+            expected = np.block([[h1, h2_dag.conj().T], [h2_dag, h4]])
+            scale = np.abs(expected).max() * np.abs(tau).max()
+            assert np.abs(dh.hh[k] - expected).max() <= 1e-13 * scale
+            assert np.abs(dh.tau[k] - tau).max() <= 1e-13 * np.abs(tau).max()
+
+    @pytest.mark.parametrize("mode", [H4Mode.HERMITIAN_PART, H4Mode.MIRROR])
+    def test_public_shapes(self, mode):
+        one = assemble_dilated(P, D_REF, 1.0, mode)
+        many = assemble_dilated(P, D_REF, np.linspace(0.0, 3.0, 7), mode)
+        for name, m in (("h1", 2), ("h2", 2), ("h4", 2), ("hh", 4), ("tau", 2)):
+            assert getattr(one, name).shape == (m, m), name
+            assert getattr(many, name).shape == (7, m, m), name
+        assert isinstance(one.h4_residual, float) and isinstance(many.h4_residual, float)
+
     def test_near_breakdown_time_in_an_array(self):
         t_c = brentq(lambda t: eigenvalues(P, D_REF, t)[1] - 1.0, 3.9, 4.1, xtol=1e-15)
         with pytest.raises(NearBreakdownError, match=f"t = {t_c}"):

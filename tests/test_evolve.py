@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ptdilate import evolve
 from ptdilate.dilation import H4Mode, assemble_dilated, tau_from_metric
@@ -172,6 +173,28 @@ class TestMagnus:
         gen = lambda ts: (a + a.conj().T)[None] * (1.0 + ts[:, None, None] ** 2)
         u = evolve._magnus_steps(gen, np.linspace(0.0, 1.0, 5), np.full(5, 0.7))
         assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4)).max() < 1e-13
+
+    @pytest.mark.parametrize("mode", [H4Mode.HERMITIAN_PART, H4Mode.MIRROR])
+    @pytest.mark.parametrize("omega, t0", [(0.5, 0.0), (0.5, 3.4), (1.0, 0.5)])
+    def test_steps_match_per_step_oracle(self, omega, t0, mode):
+        # Omega of each step from (4, 4) slices of the same generator values,
+        # with np.matmul commutators, exponentiated by scipy's expm
+        p = HamiltonianParams(1.0, omega)
+        basis = solution_basis(p)
+        starts = t0 + np.linspace(0.0, 0.45, 10)
+        widths = np.linspace(0.002, 0.01, 10)
+        M = assemble_dilated(p, D_REF, (starts[:, None] + widths[:, None] * evolve._GL_NODES).ravel(), mode, basis).hh
+        u = evolve._magnus_steps(lambda ts: M, starts, widths)
+        assert u.shape == (10, 4, 4)
+        comm = lambda a, b: a @ b - b @ a
+        for k, h in enumerate(widths):
+            a1, a2, a3 = (-1j * h * M[3 * k + j] for j in range(3))
+            alpha1, alpha2, alpha3 = a2, np.sqrt(15.0) / 3.0 * (a3 - a1), 10.0 / 3.0 * (a3 - 2.0 * a2 + a1)
+            c1 = comm(alpha1, alpha2)
+            c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
+            omega_k = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+            assert np.abs(u[k] - expm(omega_k)).max() <= 1e-13
+        assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
 
     def test_step_cap(self, monkeypatch):
         monkeypatch.setattr(evolve, "MAX_STEPS", 10)
