@@ -169,11 +169,112 @@ def _write_text(path: Path, lines) -> None:
     print(f"wrote {path}")
 
 
+# Tables of `_e_cells`.  For the binary exponent k of np.frexp, at k - _K_MIN:
+# the decimal exponent of 2^(k-1), which is that of every double in
+# [2^(k-1), 2^k) or one below it, and 10^(11 - e), 10^(10 - e) correctly rounded.
+_K_MIN = -940
+_POW10 = np.array([float(f"1e{n}") for n in range(-300, 301)])   # 10^n at n + 300
+_E_LOW = np.floor(np.arange(_K_MIN - 1, -_K_MIN - 1) * math.log10(2.0)).astype(np.intp)
+_SCALE, _SCALE_UP = _POW10[311 - _E_LOW], _POW10[310 - _E_LOW]
+
+
+def _words(cells) -> np.ndarray:
+    """Each 4-byte ASCII string of cells as one uint32 (NUL-padded)."""
+    return np.array(cells, dtype="S4").view(np.uint32)
+
+
+# A cell "-d.ddddddddddde-ddd" is five 4-byte words: sign, digit 1, "." and
+# digit 2; digits 3-6; digits 7-10; digits 11-12, "e" and the exponent's sign;
+# the exponent's digits.  NUL fills what a cell does not use.
+_CELL_WIDTH = 20
+_D2 = np.array([f"{i:02d}" for i in range(100)], dtype="S2").view(np.uint16)
+_D4 = np.empty((100, 100, 2), np.uint16)
+_D4[..., 0], _D4[..., 1] = _D2[:, None], _D2
+_D4 = _D4.view(np.uint32).ravel()                                            # "dddd" at dddd
+_LEAD = _words([f"{s}{i // 10}.{i % 10}" for s in ("", "-") for i in range(100)])  # at dd + 100 (x < 0)
+_TAIL = _words([f"{i:02d}e{s}" for i in range(100) for s in "+-"])           # at 2 dd + (e < 0)
+_EXP = _words([f"{e:02d}" for e in range(301)])                               # at |e|
+_GROUPS = np.array([1e10, 1e6, 1e2, 1.0])[:, None]   # the 12 digits as 2 + 4 + 4 + 2
+_GROUP_SPAN = np.array([1e4, 1e4, 1e2])[:, None]      # the size of groups 2-4
+_CSV_BLOCK_ROWS = 512      # rows formatted per pass, so the temporaries stay small at any row count
+
+
+def _e_cells(x: np.ndarray) -> np.ndarray:
+    """The "%.11e" text of each float64 of x as an (n, _CELL_WIDTH) uint8
+    matrix padded with NUL bytes.  The 12 digits are the integer nearest
+    m = |x| 10^(11 - e), which one product with a correctly rounded power of
+    ten gives to within 2e-4; cells whose m lies within 1e-3 of a tie, and
+    |x| outside [1e-280, 1e280] (subnormals, inf, nan), take Python's format."""
+    a = np.abs(x)
+    direct = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(direct, a, 1.0)
+    k = np.frexp(a)[1] - _K_MIN
+    m = a * _SCALE[k]
+    up = m >= 1e12
+    m = np.where(up, a * _SCALE_UP[k], m)
+    q = np.rint(m)
+    slow = ~direct & (x != 0.0) | (m < 1e11) | (m >= 1e12) | (np.abs(m - q) > 0.499)
+    roll = q == 1e12          # m in [1e12 - 1/2, 1e12) rounds into the next decade
+    e = _E_LOW[k] + up + roll
+    q = np.where(slow | ~direct, 0.0, np.where(roll, 1e11, q))
+    groups = np.floor(q / _GROUPS)
+    groups[1:] -= _GROUP_SPAN * groups[:-1]
+    g = groups.astype(np.intp)
+    words = np.empty((x.size, 5), np.uint32)
+    words[:, 0] = _LEAD[g[0] + 100 * np.signbit(x)]
+    words[:, 1] = _D4[g[1]]
+    words[:, 2] = _D4[g[2]]
+    words[:, 3] = _TAIL[2 * g[3] + (e < 0)]
+    words[:, 4] = _EXP[np.abs(e)]
+    cells = words.view(np.uint8)
+    (i,) = np.nonzero(slow)
+    if i.size:
+        text = np.array(["%.11e" % v for v in x[i].tolist()], dtype=f"S{_CELL_WIDTH}")
+        cells[i] = text.view(np.uint8).reshape(i.size, _CELL_WIDTH)
+    return cells
+
+
+def _text_cells(c: np.ndarray) -> np.ndarray:
+    """The ASCII cells of a str or bytes array as an (n, width) uint8 matrix
+    padded with NUL bytes; a str array's code points are cast, not encoded."""
+    c = np.ascontiguousarray(c)
+    if c.dtype.kind == "S":
+        return c.view(np.uint8).reshape(len(c), c.itemsize)
+    codes = c.view(np.uint32).reshape(len(c), c.itemsize // 4)
+    if codes.size and codes.max() > 127:
+        raise ValueError("CSV string cells must be ASCII")
+    return codes.astype(np.uint8)
+
+
 def _write_csv(path: Path, columns: dict) -> None:
     """One line per row of the named, equally long columns, in the dict's
-    order: string cells as they are, numbers formatted as `_fmt` does."""
-    row = ",".join("%s" if isinstance(next(iter(c), None), str) else "%.11e" for c in columns.values())
-    _write_text(path, [",".join(columns) + "\n", *(row % r + "\n" for r in zip(*columns.values()))])
+    order: string cells as they are, numbers as "%.11e" writes them.  Each
+    block of rows is one uint8 matrix of NUL-padded cells and separators."""
+    cols = [np.asarray(c) for c in columns.values()]
+    strings = [j for j, c in enumerate(cols) if c.dtype.kind in "SU"]
+    numeric = [j for j in range(len(cols)) if j not in strings]
+    cols = [_text_cells(c) if j in strings else np.asarray(c, dtype=float) for j, c in enumerate(cols)]
+    slots, width = [], 0   # each cell's byte range in a line, and the line's width
+    for j, c in enumerate(cols):
+        slots.append(slice(width, width + (c.shape[1] if j in strings else _CELL_WIDTH)))
+        width = slots[-1].stop + 1
+
+    def blocks():
+        yield ",".join(columns) + "\n"
+        for first in range(0, len(cols[0]) if cols else 0, _CSV_BLOCK_ROWS):
+            block = [c[first:first + _CSV_BLOCK_ROWS] for c in cols]
+            rows = len(block[0])
+            out = np.full((rows, width), ord(","), np.uint8)
+            out[:, -1] = ord("\n")
+            if numeric:
+                cells = _e_cells(np.column_stack([block[j] for j in numeric]).ravel()).reshape(rows, len(numeric), -1)
+                for i, j in enumerate(numeric):
+                    out[:, slots[j]] = cells[:, i]
+            for j in strings:
+                out[:, slots[j]] = block[j]
+            yield out.tobytes().translate(None, b"\0").decode("ascii")
+
+    _write_text(path, blocks())
 
 
 def _re_im(columns: dict) -> dict:

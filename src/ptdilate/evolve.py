@@ -181,7 +181,7 @@ def _magnus_run(generator, psi0: np.ndarray, edges: np.ndarray, counts: np.ndarr
         trail = np.empty((steps.size + 1, psi0.size), dtype=complex)   # trail[i]: after step first + i - 1
         trail[0] = psi
         for i, u in enumerate(_magnus_steps(generator, starts, widths), start=1):
-            trail[i] = psi = u @ psi
+            trail[i] = psi = u.dot(psi)
         reached = (ends > first) & (ends <= first + steps.size)
         states[1:][reached] = trail[ends[reached] - first]
     return states

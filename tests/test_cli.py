@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptdilate.cli import MAX_GRID_POINTS, Scenario, _write_csv, main
+from ptdilate.cli import _CSV_BLOCK_ROWS, MAX_GRID_POINTS, Scenario, _e_cells, _write_csv, main
 from ptdilate.dilation import tau_from_metric
 from ptdilate.errors import OverflowRangeError, ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
 from ptdilate.metric import DilationParams, breakdown_time, eigenvalues, metric
-from ptdilate.model import HamiltonianParams
+from ptdilate.model import HamiltonianParams, PhaseLabel
 from ptdilate.solutions import SolutionBasis, _whittaker_knots
 
 
@@ -351,17 +351,65 @@ class TestSimulateCommand:
 
 
 def test_csv_rows_match_per_cell_formatting(tmp_path):
-    # one format string per row writes what one 12-digit format per cell
-    # wrote, subnormals, signed zeros and non-finite cells included
+    # the array writer writes what one 12-digit format per cell wrote,
+    # subnormals, signed zeros and non-finite cells included, for tables
+    # shorter than one block, of exactly one and of several blocks
     rng = np.random.default_rng(11)
-    values = rng.normal(size=(500, 6)) * 10.0 ** rng.integers(-320, 308, size=(500, 6))
-    values[::7, 0], values[::11, 1], values[::13, 2], values[::17, 3] = -0.0, 5e-324, np.inf, np.nan
-    columns = {f"c{j}": values[:, j] for j in range(5)}
-    columns["listed"] = [float(v) for v in values[:, 5]]
-    columns["valid"] = np.where(values[:, 4] > 0.0, "1", "0")
-    _write_csv(tmp_path / "x.csv", columns)
-    rows = (",".join(c if isinstance(c, str) else f"{float(c):.11e}" for c in row) for row in zip(*columns.values()))
-    assert (tmp_path / "x.csv").read_text() == "\n".join([",".join(columns), *rows]) + "\n"
+    phases = [label.value for label in PhaseLabel]   # string cells of unequal width
+    for n in (0, 1, 500, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3):
+        values = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-320, 308, size=(n, 6))
+        values[::7, 0], values[::11, 1], values[::13, 2], values[::17, 3] = -0.0, 5e-324, np.inf, np.nan
+        columns = {f"c{j}": values[:, j] for j in range(5)}
+        columns["listed"] = [float(v) for v in values[:, 5]]
+        columns["valid"] = np.where(values[:, 4] > 0.0, "1", "0")
+        columns["count"] = rng.integers(-10**18, 10**18, size=n)
+        columns["phase"] = [phases[i] for i in rng.integers(0, len(phases), size=n)]
+        columns["reversed"] = np.array(columns["phase"], dtype=str)[::-1]   # a strided str column
+        columns["bytes"] = np.where(values[:, 3] > 0.0, b"yes", b"no")
+        _write_csv(tmp_path / "x.csv", columns)
+        rows = (",".join(c if isinstance(c, str) else c.decode() if isinstance(c, bytes) else f"{float(c):.11e}" for c in row)
+                for row in zip(*columns.values()))
+        assert (tmp_path / "x.csv").read_text() == "\n".join([",".join(columns), *rows]) + "\n", n
+
+
+def test_csv_refuses_non_ascii_text(tmp_path):
+    with pytest.raises(ValueError, match="ASCII"):
+        _write_csv(tmp_path / "x.csv", {"t": [0.0, 1.0], "label": ["a", "\u0141"]})
+
+
+class TestCellFormatterOracle:
+    """`_e_cells` against Python's own "%.11e", byte for byte."""
+
+    def _check(self, values):
+        values = np.asarray(values, dtype=float)
+        expected = ["%.11e" % v for v in values.tolist()]
+        got = [cell.tobytes().replace(b"\0", b"").decode("ascii") for cell in _e_cells(values)]
+        wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, expected) if g != w]
+        assert not wrong, wrong[:5]
+
+    def test_random_doubles_over_every_binade(self):
+        rng = np.random.default_rng(2)
+        n = 120_000
+        values = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1021, 1025, n)) * rng.choice([-1.0, 1.0], n)
+        assert np.abs(values).min() < 1e-307 and np.abs(values).max() > 1e307
+        self._check(values)
+
+    def test_constructed_near_ties_and_neighbours(self):
+        # the doubles nearest (k + 1/2) 10^(e - 11), whose 13th significant
+        # digit is a 5 within rounding, and the doubles on either side
+        rng = np.random.default_rng(3)
+        ties = np.array([float(f"{10 * k + 5}e{e - 12}") for e in range(-300, 301) for k in rng.integers(10**11, 10**12, 8).tolist()])
+        self._check(np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), -ties]))
+
+    def test_decade_roll_overs(self):
+        rolls = [9.999999999995, 999999999999.5, 99999999999.95, 9.9999999999949, 9.99999999999500001,
+                 9.999999999995e-280, 9.999999999995e279, 9.9999999999999e279]
+        powers = np.array([float(f"1e{e}") for e in range(-280, 281)])
+        self._check(np.concatenate([rolls, np.negative(rolls), powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+    def test_zeros_non_finite_and_extremes(self):
+        self._check([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e-280, 1e280, 1e-281, 1e281])
 
 
 class TestDilateAndEfficiency:

@@ -1,5 +1,6 @@
-"""Per-layer timings of `simulate`: generator assembly, one Magnus chunk
-and the CSV write, each the median of repeated in-process calls.
+"""Per-layer timings of `simulate` and `paper-figures`: generator assembly,
+one Magnus chunk and the CSV writes, each the median of repeated in-process
+calls.
 
     python tools/layer_cost.py [--src SRC] [--repeat N]
 
@@ -15,7 +16,9 @@ w = 1/2, D = (3.5, 238) on [0, 3.9].  Printed, in microseconds:
   matrices computed beforehand, so that only the Magnus combination, the
   eigendecompositions and the exponentials are timed (N calls);
 - the `simulate` command (`cmd_simulate`, N runs) and, inside it, the
-  write of `simulate.csv` (`_write_csv`).
+  write of `simulate.csv` (`_write_csv`);
+- the `paper-figures` command (`cmd_paper_figures`, N runs) and, inside
+  it, the write of each of its four `lambda_minus_d*.csv` tables.
 """
 
 from __future__ import annotations
@@ -83,22 +86,26 @@ def main() -> None:
     magnus = _timed(evolve._magnus_steps, [(lambda ts: hh, starts, widths)] * n)
     print(f"_magnus_steps, {steps} steps                   {_median_us(magnus)}  ({n} calls)")
 
-    writes, write_csv = [], cli._write_csv
+    writes, write_csv = {}, cli._write_csv   # seconds per call, by file name
 
-    def timed_write(*a):
+    def timed_write(path, columns):
         t0 = time.perf_counter()
-        write_csv(*a)
-        writes.append(time.perf_counter() - t0)
+        write_csv(path, columns)
+        writes.setdefault(path.name, []).append(time.perf_counter() - t0)
 
     scn = cli.Scenario(t_end=3.9).validate()
     cli._write_csv = timed_write
     try:
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
             runs = _timed(cli.cmd_simulate, [(scn, Path(out))] * n)
+            figures = _timed(cli.cmd_paper_figures, [(Path(out),)] * n)
     finally:
         cli._write_csv = write_csv
     print(f"cmd_simulate on [0, 3.9]                     {_median_us(runs)}  ({n} runs)")
-    print(f"  of which the simulate.csv write            {_median_us(writes)}")
+    print(f"  of which the simulate.csv write            {_median_us(writes.pop('simulate.csv'))}")
+    print(f"cmd_paper_figures                            {_median_us(figures)}  ({n} runs)")
+    for name, samples in sorted(writes.items()):
+        print(f"  of which the {name + ' write':<30}{_median_us(samples)}")
 
 
 if __name__ == "__main__":
