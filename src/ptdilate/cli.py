@@ -292,11 +292,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_spectrum(scn: Scenario, out: Path) -> None:
     grid = scn.grid()
-    spectra = [instantaneous_spectrum(scn.params, float(t)) for t in grid]
+    spectrum = instantaneous_spectrum(scn.params, grid)
     _write_csv(out / "spectrum.csv", {
-        "t": grid,
-        **_re_im({"lam_plus": [sp.lam_plus for sp in spectra], "lam_minus": [sp.lam_minus for sp in spectra]}),
-        "phase": [sp.phase.value for sp in spectra],
+        "t": grid, **_re_im({"lam_plus": spectrum.lam_plus, "lam_minus": spectrum.lam_minus}), "phase": spectrum.phase,
     })
 
 

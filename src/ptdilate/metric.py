@@ -24,7 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -113,6 +112,7 @@ def _scalars_double(d, y, delta):
 def _scalars_mp(basis, d, t, z):
     """Scalars at one t in extended precision, with Delta from the duals;
     the reference for `_scalars_double`."""
+    import mpmath as mp
     with mp.workdps(max(40, 30 + int(0.5 * z))):
         (y0u, y0d), (y1u, y1d) = basis.y_pair_mp(t)
         n0 = abs(y0u) ** 2 + abs(y0d) ** 2

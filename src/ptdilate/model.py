@@ -62,14 +62,19 @@ def hamiltonian(p: HamiltonianParams, t) -> np.ndarray:
     return H.transpose(*range(2, H.ndim), 0, 1)
 
 
-def instantaneous_spectrum(p: HamiltonianParams, t: float) -> Spectrum:
-    """Instantaneous eigenvalues E +- sqrt(1 - (w t)^2) with a phase label."""
-    s = 1.0 - (p.omega * t) ** 2
-    if abs(s) < EP_DETECT_TOL:
-        return Spectrum(complex(p.E), complex(p.E), PhaseLabel.EP)
-    if s > 0.0:
-        root = np.sqrt(s)
-        return Spectrum(complex(p.E + root), complex(p.E - root), PhaseLabel.UNBROKEN)
-    root = 1j * np.sqrt(-s)
-    return Spectrum(p.E + root, p.E - root, PhaseLabel.BROKEN)
+def instantaneous_spectrum(p: HamiltonianParams, t) -> Spectrum:
+    """Instantaneous eigenvalues E +- sqrt(1 - (w t)^2) with a phase label
+    at a float t, or as arrays (labels' values) over a 1-D array of times;
+    parts are set apart, so zeros keep the signs complex arithmetic gives."""
+    s = 1.0 - np.square(p.omega * np.asarray(t, dtype=float))
+    ep = np.abs(s) < EP_DETECT_TOL
+    unbroken, broken, root = (s > 0.0) & ~ep, (s < 0.0) & ~ep, np.sqrt(np.abs(s))
+    shift = np.where(unbroken, root, 0.0)
+    lam = np.empty((2,) + s.shape, dtype=complex)
+    lam.real = np.where(ep, p.E, p.E + shift), p.E - shift
+    lam.imag = np.where(broken, root, 0.0), np.where(broken, -root, 0.0)
+    phase = np.where(ep, PhaseLabel.EP.value, np.where(unbroken, PhaseLabel.UNBROKEN.value, PhaseLabel.BROKEN.value))
+    if s.ndim == 0:
+        return Spectrum(complex(lam[0]), complex(lam[1]), PhaseLabel(str(phase)))
+    return Spectrum(lam[0], lam[1], phase)
 

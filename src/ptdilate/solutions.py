@@ -21,8 +21,10 @@ The Whittaker pair is evaluated in doubles.  Per sweep rate, one cached
 table holds both columns at knots from 0 to just past the horizon, built
 by Taylor steps of x' = (-i sigma_x + w t sigma_z) x, the phase-free
 system: x1 forward from its closed-form value at t = 0, x0, the recessive
-column, backward from one mpmath column at the last knot.  A time is then
-one Taylor step from the knot on its left (x1) or right (x0).
+column, backward from past the horizon and scaled to its value at t = 0.
+A time is then one Taylor step from the knot on its left (x1) or right
+(x0).  Only the extended-precision references `_whittaker_pair_mp` and
+`SolutionBasis.y_pair_mp` import mpmath.
 
 E enters only through the common phase e^{-iEt}: each representation
 evaluates phase-free amplitudes, and `SolutionBasis.x_pair` alone applies it.
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, OverflowRangeError, ValidationError
@@ -63,6 +64,7 @@ MU = 0.25                   # second Whittaker index of the model
 T_SMALL = 1e-3              # below this the Whittaker basis takes the amplitude at T_SMALL
 CLOSED_FORM_T_MAX = 6.0     # closed-form horizon without rescaling
 WHITTAKER_Z_MAX = 700.0     # w t^2 at the Whittaker horizon
+WHITTAKER_Z_ANCHOR = 850.0  # w t^2 where x0's backward carry starts (at w = 0.0015, 760 leaves 6e-9)
 KNOT_STEP = 1.5             # Whittaker knot spacing KNOT_STEP / (1 + w t + 2 sqrt(w))
 TAYLOR_TERMS = 25           # terms per Taylor step; 60 agree to rounding for w up to 1e4
 # x0(0) carries 1/Gamma(1 - 1/(4 w)), of size about Gamma(1/(4 w)), which
@@ -115,28 +117,35 @@ def _closed_half_amplitudes(ts: np.ndarray) -> np.ndarray:
 
 # --- Whittaker representation ----------------------------------------------
 
-def _whittaker_column_mp(omega, t, ray: Ray):
-    """One column of the Whittaker x-pair in mpmath arithmetic (no e^{-iEt}
+def _whittaker_pair_mp(omega, t):
+    """(x0, x1), the Whittaker x-pair in mpmath arithmetic (no e^{-iEt}
     phase): x0 from W_kappa and W_kappa' on the positive ray, x1 from
     W_-kappa and W_-kappa' on the rotated ray.  For t <= T_SMALL the
     amplitude is the one at T_SMALL."""
+    import mpmath as mp
     kap, kap_p = model_kappas(omega)
     ts = max(float(t), T_SMALL)
-    mag = omega * ts * ts
-    rt = mp.sqrt(ts)
-    sw = mp.sqrt(omega)
-
-    def _w(kappa):
-        return _whittaker_mp(kappa, MU, mag, ray)
-
-    if ray is Ray.POSITIVE:
-        return (_w(kap) / rt, -2j * sw * _w(kap_p) / rt)
-    return (_w(-kap) / rt, _w(-kap_p) / (2 * sw) / rt)
+    mag, rt, sw = omega * ts * ts, mp.sqrt(ts), mp.sqrt(omega)
+    w, w_p = (_whittaker_mp(k, MU, mag, Ray.POSITIVE) for k in (kap, kap_p))
+    v, v_p = (_whittaker_mp(-k, MU, mag, Ray.ROTATED) for k in (kap, kap_p))
+    return (w / rt, -2j * sw * w_p / rt), (v / rt, v_p / (2 * sw) / rt)
 
 
-def _whittaker_pair_mp(omega, t):
-    """(x0, x1), the Whittaker x-pair in mpmath arithmetic."""
-    return _whittaker_column_mp(omega, t, Ray.POSITIVE), _whittaker_column_mp(omega, t, Ray.ROTATED)
+def _over_gamma(scale: float, x: float) -> float:
+    """scale / Gamma(x) as a double wherever it is one: 0 at the poles; for
+    x < 1/2 by reflection, sin(pi x) Gamma(1 - x) / pi; past 171, where
+    Gamma leaves double range, one step Gamma(y) = (y - 1) Gamma(y - 1)."""
+    n = round(x)
+    if x < 0.5:
+        if x == n:
+            return 0.0
+        scale *= (-1) ** n * math.sin(math.pi * (x - n)) / math.pi
+        y, power = 1.0 - x, 1
+    else:
+        y, power = x, -1
+    if y > 171.0:
+        scale, y = scale * (y - 1.0) ** power, y - 1.0
+    return scale * math.gamma(y) ** power
 
 
 def _whittaker_at_zero(omega: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -149,13 +158,11 @@ def _whittaker_at_zero(omega: float) -> tuple[tuple[complex, complex], tuple[com
     An entry of x0(0) is exactly 0 where 3/4 - kappa or 3/4 - kappa' is a
     nonpositive integer, the Hermite cases w = 1/(2m)."""
     kap, kap_p = model_kappas(omega)
-    with mp.workdps(30):
-        w = mp.mpf(omega)
-        c = mp.sqrt(mp.pi) * w**0.25
-        x0 = (c * mp.rgamma(0.75 - kap), -2j * mp.sqrt(w) * c * mp.rgamma(0.75 - kap_p))
-        c1 = c * mp.expjpi(0.25)
-        x1 = (c1 * mp.rgamma(0.75 + kap), c1 * mp.rgamma(0.75 + kap_p) / (2 * mp.sqrt(w)))
-        return tuple(complex(v) for v in x0), tuple(complex(v) for v in x1)
+    c, sw = math.sqrt(math.pi) * omega ** 0.25, math.sqrt(omega)
+    x0 = (complex(_over_gamma(c, 0.75 - kap)), complex(0.0, _over_gamma(-2.0 * sw * c, 0.75 - kap_p)))
+    c1 = c * complex(math.sqrt(0.5), math.sqrt(0.5))
+    x1 = (c1 * _over_gamma(1.0, 0.75 + kap), c1 * _over_gamma(0.5 / sw, 0.75 + kap_p))
+    return x0, x1
 
 
 def _taylor_step(omega: float, centres: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -201,19 +208,23 @@ def _whittaker_knots(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t_k, x0(t_k), x1(t_k)) on knots from 0 to just past the horizon,
     spaced h_k = KNOT_STEP / (1 + w t_k + 2 sqrt(w)), so that w t h stays
     below KNOT_STEP and w h^2 below KNOT_STEP^2 / 4, and TAYLOR_TERMS terms
-    sum each step to rounding.  Each column is carried in the direction it grows: x1 forward
-    from `_whittaker_at_zero`, x0, which decays like e^{-w t^2/2}, backward
-    from its mpmath value at the last knot."""
-    horizon, sw = math.sqrt(WHITTAKER_Z_MAX / omega), math.sqrt(omega)
+    sum each step to rounding.  Each column is carried in the direction it
+    grows: x1 forward from `_whittaker_at_zero`; x0, the recessive column,
+    backward by Miller's method (DLMF 3.6(iii)), from its leading direction
+    (1, -2i w t) at extra knots out to w t^2 = WHITTAKER_Z_ANCHOR, then
+    scaled to the larger entry of x0(0).  The extra knots are dropped."""
+    at_zero, sw = _whittaker_at_zero(omega), math.sqrt(omega)
     knots = [0.0]
-    while knots[-1] <= horizon:
+    while knots[-1] <= math.sqrt(WHITTAKER_Z_ANCHOR / omega):
         knots.append(knots[-1] + KNOT_STEP / (1.0 + omega * knots[-1] + 2.0 * sw))
     knots = np.array(knots)
     h = np.diff(knots)
-    x1 = _carry(omega, _whittaker_at_zero(omega)[1], knots[:-1], h)
-    anchor = tuple(complex(v) for v in _whittaker_column_mp(omega, knots[-1], Ray.POSITIVE))
-    x0 = _carry(omega, anchor, knots[:0:-1], -h[::-1])[::-1]
-    table = (knots, np.array(x0).T, np.array(x1).T)
+    keep = np.searchsorted(knots, math.sqrt(WHITTAKER_Z_MAX / omega), side="right") + 1
+    x1 = _carry(omega, at_zero[1], knots[:keep - 1], h[:keep - 1])
+    start = (1.0, complex(0.0, -2.0 * omega * knots[-1]))
+    x0 = np.array(_carry(omega, start, knots[:0:-1], -h[::-1])[::-1][:keep]).T
+    i = int(abs(at_zero[0][1]) > abs(at_zero[0][0]))
+    table = (knots[:keep], x0 * (at_zero[0][i] / x0[i, 0]), np.array(x1).T)
     for a in table:
         a.flags.writeable = False
     return table
@@ -299,6 +310,7 @@ class SolutionBasis:
 
     def y_pair_mp(self, t: float):
         """Phase-free dual pair as mpmath complex tuples at the caller's precision."""
+        import mpmath as mp
         if self.representation is Representation.CLOSED_FORM_HALF:
             tm = mp.mpf(t)
             e = _erfi_series_mp(tm / mp.sqrt(2))

@@ -4,7 +4,8 @@ Whittaker W on two rays of the complex plane, Dawson's integral F in
 doubles, the prefactor-free imaginary error function e^{x^2} F(x) (DLMF
 7.2.5) and physicists' Hermite polynomials.
 
-Everything here is a pure function of its arguments.  Whittaker W sums
+Everything here is a pure function of its arguments.  mpmath is imported
+inside the functions that use it, so a W call loads it.  Whittaker W sums
 Kummer's M with mpmath's compiled hypergeometric series kernel
 (`mp.hyp1f1`), which raises its own precision until the sum is accurate
 or, for a terminating series, exactly zero.  Whittaker values are computed
@@ -23,7 +24,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, OverflowRangeError, ValidationError
@@ -105,6 +105,7 @@ def _hyp1f1(a, b, z):
     ZERO_PREC_FACTOR times the working bits; a threshold of one working
     precision zeroes values that genuinely cancel that far.
     """
+    import mpmath as mp
     return mp.hyp1f1(a, b, z, zeroprec=ZERO_PREC_FACTOR * mp.mp.prec)
 
 
@@ -119,6 +120,7 @@ def _whittaker_series_mp(kappa, mu, magnitude, ray):
     is -magnitude.  The working precision grows with the magnitude because
     the two branches cancel like e^z |z|^{-2 kappa} on the positive ray.
     """
+    import mpmath as mp
     extra = 2.0 * max(0.0, KAPPA_FLOOR - kappa) * math.log10(max(magnitude, 1.0))
     dps = max(30, 20 + int(0.6 * magnitude + extra))
     with mp.workdps(dps):
@@ -150,6 +152,7 @@ def _whittaker_asym_mp(kappa, mu, magnitude, ray):
     2F0 series does, which then converges.  At most 35 digits: at the
     hundreds an extended-precision caller asks for, the series never
     converges and the fallback is up to 100x slower."""
+    import mpmath as mp
     with mp.workdps(min(mp.mp.dps, 35)):
         z = mp.mpc(-magnitude, 0) if ray is Ray.ROTATED else mp.mpf(magnitude)
         return mp.whitw(kappa, mu, z)
@@ -245,6 +248,7 @@ def dawson(x):
 
 def _erfi_series_mp(x):
     """Prefactor-free erfi, integral_0^x exp(s^2) ds, at the caller's mpmath precision."""
+    import mpmath as mp
     return mp.sqrt(mp.pi) / 2 * mp.erfi(x)
 
 

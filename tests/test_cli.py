@@ -15,7 +15,7 @@ from ptdilate.dilation import tau_from_metric
 from ptdilate.errors import OverflowRangeError, ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
 from ptdilate.metric import DilationParams, breakdown_time, eigenvalues, metric
-from ptdilate.model import HamiltonianParams, PhaseLabel
+from ptdilate.model import HamiltonianParams, PhaseLabel, instantaneous_spectrum
 from ptdilate.solutions import SolutionBasis, _whittaker_knots
 
 
@@ -145,6 +145,22 @@ class TestSpectrumCommand:
     def test_empty_range_exit_code(self, tmp_path):
         scn = _write_scenario(tmp_path / "s.json", t_start=1.0, t_end=1.0)
         assert main(["spectrum", "--scenario", scn, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("energy", [1.0, -0.0])
+    def test_rows_are_the_per_point_spectrum(self, tmp_path, energy):
+        # the one array pass writes what one instantaneous_spectrum call per
+        # point gives, EP rows and the signs of zero parts included
+        scn = _write_scenario(tmp_path / "s.json", E=energy)
+        assert main(["spectrum", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        p = HamiltonianParams(energy, 0.5)
+        rows = []
+        for t in Scenario.from_file(scn).grid():
+            sp = instantaneous_spectrum(p, float(t))
+            cells = (t, sp.lam_plus.real, sp.lam_plus.imag, sp.lam_minus.real, sp.lam_minus.imag)
+            rows.append(",".join([*(f"{v:.11e}" for v in cells), sp.phase.value]))
+        header = "t,re_lam_plus,im_lam_plus,re_lam_minus,im_lam_minus,phase"
+        assert (tmp_path / "spectrum.csv").read_text() == "\n".join([header, *rows]) + "\n"
+        assert "EP" in {row.rsplit(",", 1)[1] for row in rows}
 
     def test_byte_determinism(self, tmp_path):
         scn = _write_scenario(tmp_path / "s.json", grid_step=1e-2)

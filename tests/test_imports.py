@@ -1,7 +1,8 @@
-"""The CLI's import path: `import ptdilate.cli` loads nothing from scipy,
-no command loads scipy or imports any module for the first time inside
-`main()`, so that every import counts as start-up; only
-`evolve.integrate_linear` loads scipy.integrate, on its first call."""
+"""The CLI's import path: `import ptdilate.cli` loads nothing from scipy
+or mpmath, no command loads either or imports any module for the first
+time inside `main()`, so that every import counts as start-up; only
+`evolve.integrate_linear` loads scipy.integrate and `specfun.whittaker_w`
+mpmath, each on its first call."""
 
 import json
 import subprocess
@@ -20,12 +21,13 @@ import json, os, sys
 sys.path.insert(0, sys.argv[1])
 out = sys.argv[2]
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 report = {}
 import ptdilate.cli
-report["import"] = scipy_loaded()
+report["import"] = loaded("scipy")
+report["import_mpmath"] = loaded("mpmath")
 before = set(sys.modules)
 
 report["codes"] = {}
@@ -35,8 +37,15 @@ for omega in ("0.5", "0.37"):
         argv = [command, "--scenario", scenario, "--out", os.path.join(out, omega, command)]
         report["codes"][f"{command} {omega}"] = ptdilate.cli.main(argv)
 report["codes"]["paper-figures"] = ptdilate.cli.main(["paper-figures", "--out", os.path.join(out, "figures")])
-report["commands"] = scipy_loaded()
+report["commands"] = loaded("scipy")
+report["commands_mpmath"] = loaded("mpmath")
 report["first_imported_in_main"] = sorted(set(sys.modules) - before)
+
+from ptdilate.specfun import RayArgument, WhittakerIndex, whittaker_w
+
+# W_{k,k-1/2}(z) = e^{-z/2} z^k (DLMF 13.18.2): W_{3/4,1/4}(2) = 2^{3/4} / e
+report["w"] = abs(whittaker_w(WhittakerIndex(0.75), RayArgument.positive(2.0)) - 2.0 ** 0.75 / 2.718281828459045)
+report["after_w"] = "mpmath" in sys.modules
 
 import numpy as np
 from ptdilate.evolve import EvolutionConfig, integrate_linear
@@ -77,6 +86,20 @@ def test_commands_load_no_heavy_scipy(report):
     assert len(report["codes"]) == 15
     assert set(report["codes"].values()) == {0}
     assert report["commands"] == []
+
+
+def test_importing_the_cli_loads_no_mpmath(report):
+    assert report["import_mpmath"] == []
+
+
+def test_commands_load_no_mpmath(report):
+    assert set(report["codes"].values()) == {0}
+    assert report["commands_mpmath"] == []
+
+
+def test_whittaker_w_loads_mpmath_on_first_call(report):
+    assert report["after_w"]
+    assert report["w"] < 1e-15
 
 
 def test_commands_import_no_module_at_run_time(report):

@@ -7,6 +7,7 @@ import pytest
 
 from ptdilate.errors import ValidationError
 from ptdilate.model import (
+    EP_DETECT_TOL,
     HamiltonianParams,
     PhaseLabel,
     SIGMA_X,
@@ -58,6 +59,37 @@ def test_spectrum_unbroken_ep_broken():
     assert s4.phase is PhaseLabel.BROKEN
     assert s4.lam_plus == pytest.approx(1.0 + 1j * math.sqrt(3.0))
     assert s4.lam_minus == pytest.approx(1.0 - 1j * math.sqrt(3.0))
+
+
+def _spectrum_by_cases(p, t):
+    """The spectrum at one float t, case by case in Python complex arithmetic."""
+    s = 1.0 - (p.omega * t) * (p.omega * t)
+    if abs(s) < EP_DETECT_TOL:
+        return complex(p.E), complex(p.E), PhaseLabel.EP
+    if s > 0.0:
+        return complex(p.E + math.sqrt(s)), complex(p.E - math.sqrt(s)), PhaseLabel.UNBROKEN
+    root = 1j * math.sqrt(-s)
+    return p.E + root, p.E - root, PhaseLabel.BROKEN
+
+
+@pytest.mark.parametrize("energy", [1.0, 0.0, -0.0, -1.5])
+@pytest.mark.parametrize("omega", [0.37, 0.5, 1.0])
+def test_spectrum_array_equals_cases_bitwise(energy, omega):
+    # zeros included: (sign, value) of each part, as a CSV cell would show it
+    def parts(z):
+        return [(math.copysign(1.0, v), v) for v in (z.real, z.imag)]
+
+    p = HamiltonianParams(energy, omega)
+    t_ep = 1.0 / omega
+    ts = np.concatenate([np.linspace(0.0, 4.0, 801), [t_ep, t_ep * (1.0 + 1e-13), t_ep * (1.0 - 1e-13)]])
+    spectrum = instantaneous_spectrum(p, ts)
+    for i, t in enumerate(ts):
+        lam_p, lam_m, label = _spectrum_by_cases(p, float(t))
+        scalar = instantaneous_spectrum(p, float(t))
+        assert type(scalar.lam_plus) is complex and scalar.phase is label
+        assert parts(scalar.lam_plus) == parts(lam_p) == parts(complex(spectrum.lam_plus[i]))
+        assert parts(scalar.lam_minus) == parts(lam_m) == parts(complex(spectrum.lam_minus[i]))
+        assert spectrum.phase[i] == label.value
 
 
 @pytest.mark.parametrize("omega", [0.25, 0.5, 1.0, 2.0])

@@ -13,6 +13,7 @@ from ptdilate.model import HamiltonianParams, hamiltonian
 from ptdilate.solutions import (
     MU,
     Representation,
+    WHITTAKER_Z_MAX,
     SolutionBasis,
     _whittaker_at_zero,
     _whittaker_knots,
@@ -154,7 +155,10 @@ class TestWhittakerKnotTable:
 
     @staticmethod
     def _column_errors(x, ref):
-        return np.linalg.norm(x - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+        """Relative error of each column, taken on the column divided by its
+        largest oracle entry, as entries near the omega floor reach 1e300."""
+        scale = np.abs(ref).max(axis=-1, keepdims=True)
+        return np.linalg.norm((x - ref) / scale, axis=-1) / np.linalg.norm(ref / scale, axis=-1)
 
     @pytest.mark.parametrize("omega", OMEGAS)
     def test_both_columns_match_mpmath(self, omega):
@@ -169,13 +173,25 @@ class TestWhittakerKnotTable:
             errors = self._column_errors(x[:, :, i], self._oracle(omega, float(t)))
             assert errors.max() <= 1e-12, (t, errors)
 
-    @pytest.mark.parametrize("omega", OMEGAS)
+    @pytest.mark.parametrize("omega", OMEGAS + [0.0015])
     def test_value_at_zero_is_the_small_t_limit(self, omega):
         x0, x1 = _whittaker_at_zero(omega)
         ref = self._oracle(omega, 1e-20)
         assert self._column_errors(np.array([x0, x1]), ref).max() <= 1e-12
         if omega in (1.0 / 6.0, 0.25):   # 1/Gamma at a nonpositive integer
             assert 0.0 in x0
+
+    @pytest.mark.parametrize("omega", [0.0015, 0.002, 0.01, 0.37, 1.0, 3.0, 10.0])
+    def test_both_columns_match_mpmath_to_the_horizon(self, omega):
+        # x0 is anchored with no mpmath, by a backward carry from past the
+        # horizon, so its error is largest where that carry started: near z = 700
+        basis = solution_basis(HamiltonianParams(E=0.0, omega=omega), Representation.WHITTAKER_GENERAL)
+        z = np.concatenate([np.linspace(0.5, 600.0, 5), np.linspace(650.0, WHITTAKER_Z_MAX, 4)])
+        ts = np.sqrt(z / omega)
+        x = np.array(basis.x_pair(ts))
+        for i, t in enumerate(ts):
+            errors = self._column_errors(x[:, :, i], self._oracle(omega, float(t)))
+            assert errors.max() <= 1e-12, (t, errors)
 
     @pytest.mark.parametrize("omega", [0.37, 1.0, 3.0])
     def test_scalar_call_equals_array_element(self, omega):

@@ -5,7 +5,8 @@
 Starts N (default 9) fresh interpreters one after another, each importing
 `ptdilate.cli` from SRC (default: this checkout's `src/`) and timing that
 import with `perf_counter`.  Prints the median, smallest and largest import
-time and the public scipy subpackages the import loaded.
+time, the public scipy subpackages the import loaded and whether it
+loaded mpmath.
 Pointing SRC at another checkout's `src/` gives that version's cost on the
 same interpreter.
 """
@@ -28,7 +29,7 @@ start = time.perf_counter()
 import ptdilate.cli
 seconds = time.perf_counter() - start
 scipy = sorted(m for m in sys.modules if m.count(".") == 1 and m.startswith("scipy.") and m[6] != "_")
-print(json.dumps({"seconds": seconds, "scipy": scipy}))
+print(json.dumps({"seconds": seconds, "scipy": scipy, "mpmath": "mpmath" in sys.modules}))
 """
 
 
@@ -52,6 +53,7 @@ def main(argv: list[str] | None = None) -> None:
         f"(min {min(seconds):.3f}, max {max(seconds):.3f}, {args.n} interpreters)"
     )
     print("scipy modules loaded: " + (", ".join(runs[-1]["scipy"]) or "none"))
+    print("mpmath loaded: " + ("yes" if runs[-1]["mpmath"] else "no"))
 
 
 if __name__ == "__main__":
