@@ -69,6 +69,9 @@ class TestScenario:
             ({"initial_state": 5}, []),
             ({"tolerances": {"rel_tol": "x"}}, []),
             ({"tolerances": {"abs_tol": math.nan}}, []),
+            ({"tolerances": {"rel_tol": math.inf}}, []),
+            ({"tolerances": {"abs_tol": math.inf}}, []),
+            ({"tolerances": {"max_step": math.inf}}, []),
             # JSON booleans and strings are not numbers
             ({"omega": True}, []),
             ({"d0_sq": "3"}, []),
@@ -620,7 +623,7 @@ def _scenarios(draw):
         if key == "initial_state" and draw(st.booleans()):
             payload[key] = [junk, 0.0, 0.0, 0.0]
         elif key == "tolerances" and draw(st.booleans()):
-            payload[key] = {"rel_tol": junk}
+            payload[key] = {draw(st.sampled_from(["rel_tol", "abs_tol", "max_step"])): junk}
         else:
             payload[key] = junk
     return payload

@@ -54,6 +54,22 @@ class TestIntegrateLinear:
         with pytest.raises(ValidationError):
             integrate_linear(lambda t: np.eye(2, dtype=complex), np.array([1.0, 0.0]), (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rel_tol": np.inf},
+            {"abs_tol": np.inf},
+            {"max_step": np.inf},
+            {"max_step": np.nan},
+            {"output_grid": [0.0, np.nan, 1.0]},
+            {"output_grid": [0.0, 1.0, np.inf]},
+        ],
+    )
+    def test_nonfinite_config_rejected(self, kwargs):
+        # NaN fails every comparison, so it must be refused, not let through
+        with pytest.raises(ValidationError, match="finite"):
+            EvolutionConfig(**kwargs)
+
     def test_nonfinite_generator_rejected(self):
         def bad(t):
             return np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
@@ -195,6 +211,44 @@ class TestMagnus:
             omega_k = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
             assert np.abs(u[k] - expm(omega_k)).max() <= 1e-13
         assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-3, 0.3, 0.49, 0.7, 1.5, 3.5, 7.0, 15.0, 30.0, 60.0])
+    def test_exponential_matches_expm(self, norm):
+        # random anti-Hermitian 4x4 stacks of one Frobenius norm (s = 0 .. 7),
+        # and the same steps in one chunk with a step of norm 60, which sets
+        # s = 7 for all of them; steps 0 and 6 are rank one, so that their
+        # 2-norm is their Frobenius norm and the truncation error the largest
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(4, 4, 7)) + 1j * rng.normal(size=(4, 4, 7))
+        x = 0.5 * (a - a.conj().swapaxes(0, 1))
+        v = a[:, 0, ::6]
+        x[..., ::6] = 1j * v[:, None] * v[None].conj()
+        x *= np.append(np.full(6, norm), 60.0) / np.linalg.norm(x, axis=(0, 1))
+        for stack in (x[..., :6], x):
+            u = evolve._expm_skew(stack, float(np.linalg.norm(stack, axis=(0, 1)).max())).transpose(2, 0, 1)
+            ref = np.array([expm(stack[..., k]) for k in range(stack.shape[2])])
+            assert (np.linalg.norm(u - ref, axis=(1, 2)) <= 1e-13 * np.linalg.norm(ref, axis=(1, 2))).all()
+            assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
+        if norm == 0.0:
+            assert (evolve._expm_skew(x[..., :6], 0.0) == np.eye(4)[..., None]).all()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_exponent_rejected(self):
+        # a finite generator whose Omega overflows (1e200 * 1e120), or whose
+        # Omega is finite but too large for its norm (1e160 * 1, squared):
+        # an IntegrationError that names the first bad step
+        for scale, width in ((1e200, 1e120), (1e160, 1.0)):
+            gen = lambda ts: np.where(ts >= 1.0, scale, 1.0)[:, None, None] * np.ones((4, 4))
+            with pytest.raises(IntegrationError, match=r"from t = 1\.0\b"):
+                evolve._magnus_steps(gen, np.array([0.0, 1.0, 2.0]), np.array([0.5, width, width]))
+
+    def test_needs_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        traj = simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, 1.0))
+        assert traj.extras["upper_deviation"].max() < 1e-8
 
     def test_step_cap(self, monkeypatch):
         monkeypatch.setattr(evolve, "MAX_STEPS", 10)

@@ -13,8 +13,11 @@ w = 1/2, D = (3.5, 238) on [0, 3.9].  Printed, in microseconds:
   on 1536 times, the three Gauss-Legendre nodes of one chunk of
   `CHUNK_STEPS` = 512 Magnus steps (N calls), in both h4 gauges;
 - `_magnus_steps` on one chunk of 512 steps, with the generator's 1536
-  matrices computed beforehand, so that only the Magnus combination, the
-  eigendecompositions and the exponentials are timed (N calls);
+  matrices computed beforehand, so that only the Magnus combination and
+  the exponentials are timed (N calls), and inside it `_expm_skew`, the
+  exponentials alone, on the anti-Hermitian Omega stack of that chunk
+  (N calls; its largest ||Omega||_F is printed beside it, and the line is
+  left out for a checkout without `_expm_skew`);
 - the `simulate` command (`cmd_simulate`, N runs) and, inside it, the
   write of `simulate.csv` (`_write_csv`);
 - the `paper-figures` command (`cmd_paper_figures`, N runs) and, inside
@@ -85,6 +88,15 @@ def main() -> None:
     hh = assemble_dilated(p, d, nodes, H4Mode.HERMITIAN_PART, basis).hh
     magnus = _timed(evolve._magnus_steps, [(lambda ts: hh, starts, widths)] * n)
     print(f"_magnus_steps, {steps} steps                   {_median_us(magnus)}  ({n} calls)")
+    if hasattr(evolve, "_expm_skew"):   # older checkouts exponentiate through np.linalg.eigh
+        exponents, expm_skew = [], evolve._expm_skew   # the (x, norm) of one chunk
+        evolve._expm_skew = lambda *args: exponents.append(args) or expm_skew(*args)
+        try:
+            evolve._magnus_steps(lambda ts: hh, starts, widths)
+        finally:
+            evolve._expm_skew = expm_skew
+        exponentials = _timed(expm_skew, exponents * n)
+        print(f"  of which _expm_skew, ||Omega||_F <= {exponents[0][1]:.3f}  {_median_us(exponentials)}  ({n} calls)")
 
     writes, write_csv = {}, cli._write_csv   # seconds per call, by file name
 
