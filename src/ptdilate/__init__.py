@@ -35,6 +35,7 @@ from .evolve import (
 from .metric import (
     DilationParams,
     MetricState,
+    Region,
     approx_bounds_interval,
     breakdown_time,
     eigenvalues,

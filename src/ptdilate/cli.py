@@ -25,8 +25,10 @@ from .errors import DegenerateDenominatorError, PTDilateError, ValidationError
 from .evolve import EvolutionConfig, _efficiency, _eta_norm, propagate_analytic, simulate_dilated
 from .metric import (
     DilationParams,
+    Region,
+    _approx_d1_min,
     _grid,
-    _scalars,
+    _scan_region,
     _valid,
     approx_bounds_interval,
     breakdown_time,
@@ -310,21 +312,21 @@ def cmd_metric_scan(scn: Scenario, out: Path) -> None:
 
 def cmd_bounds(scn: Scenario, out: Path) -> None:
     p = scn.params
-    basis = solution_basis(p)
     interval = (scn.t_start, scn.t_end)
-    d0_min, d1_min = approx_bounds_interval(p, interval, basis)
-    y0_end = basis.y_pair(scn.t_end)[0]
-    naive_d1 = float(np.vdot(y0_end, y0_end).real) / basis.gram_det
+    basis = solution_basis(p)
+    region = Region(basis, _grid(scn.t_start, scn.t_end))   # the scan grid of every bound
+    d0_min, d1_min = approx_bounds_interval(p, interval, region=region)
+    naive_d1 = float(region.n0[-1]) / basis.gram_det   # ||y0(t_end)||^2 / Delta
     payload = {
         "interval": [scn.t_start, scn.t_end],
-        "equal_d_bound": _round12(equal_d_bound(p, interval, basis)),
+        "equal_d_bound": _round12(equal_d_bound(p, interval, region=region)),
         "approx_d0_min": _round12(d0_min),
         "approx_d1_min": _round12(d1_min),
         "naive_d1_bound": _round12(naive_d1),
         "d0_sq": scn.d0_sq,
     }
     try:
-        refined = refined_d1_bound(p, scn.d0_sq, interval, basis)
+        refined = refined_d1_bound(p, scn.d0_sq, interval, region=region)
         payload["refined_d1_bound"] = _round12(refined)
         payload["refined_reason"] = None
         payload["naive_sufficient"] = bool(naive_d1 >= refined - 1e-9)
@@ -418,26 +420,30 @@ _FIGURE_SETS = [
 
 
 def cmd_paper_figures(out: Path, grid_step: float = 1e-3) -> None:
-    """Emit the four lambda_minus datasets and the reproduced constants."""
+    """Emit the four lambda_minus datasets and the reproduced constants.
+    Each table grid is one region, which the searches read where their scan
+    grid is its leading points: at grid step 1e-3 the [0, 5] one holds all."""
     p = HamiltonianParams(E=1.0, omega=0.5)
     basis = solution_basis(p)
     d0_sq = 3.5
     thresholds: dict = {"d0_sq": d0_sq}
+    regions = {}
     for t_end, tables in _FIGURE_SETS:
         grid = Scenario(t_start=0.0, t_end=t_end, grid_step=grid_step).validate().grid()
-        y = basis.dual_amplitudes(grid)
+        region = regions[t_end] = Region(basis, grid)
         for tag, d1_sq in tables:
             d = DilationParams(d0_sq, d1_sq)
-            _write_lambda_csv(out / f"lambda_minus_d{tag}.csv", grid, *_scalars(d, grid, basis, y)[3:])
-            t_break = breakdown_time(p, d, t_end)
+            _write_lambda_csv(out / f"lambda_minus_d{tag}.csv", grid, *region.eigenvalues(d)[1:])
+            t_break = breakdown_time(p, d, t_end, region=region)
             thresholds[f"breakdown_{tag}"] = None if t_break is None else _round12(t_break)
-    d0_min, d1_min = approx_bounds_interval(p, (0.0, 4.0), basis)
+    scan = regions[5.0]
+    d0_min, d1_min = approx_bounds_interval(p, (0.0, 4.0), region=scan)
     thresholds["approx_d0_min_0_4"] = _round12(d0_min)
     thresholds["approx_d1_min_0_4"] = _round12(d1_min)
-    thresholds["approx_d1_min_0_4p5"] = _round12(approx_bounds_interval(p, (0.0, 4.5), basis)[1])
+    thresholds["approx_d1_min_0_4p5"] = _round12(_approx_d1_min(_scan_region(p, (0.0, 4.5), None, scan)))
     y0_21 = basis.y_pair(2.1)[0]
     thresholds["y0_norm_sq_2p1"] = _round12(float(np.vdot(y0_21, y0_21).real))
-    thresholds["refined_d1_bound_2p1"] = _round12(refined_d1_bound(p, d0_sq, (0.0, 2.1), basis))
+    thresholds["refined_d1_bound_2p1"] = _round12(refined_d1_bound(p, d0_sq, (0.0, 2.1), region=scan))
     _write_json(out / "thresholds.json", thresholds)
 
 
@@ -457,23 +463,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ptdilate",
         description="Metric-operator construction and Hermitian dilation of the swept two-level model",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--scenario", type=str, default=None, help="JSON scenario file")
-        sp.add_argument("--out", type=str, default=".", help="output directory")
-        sp.add_argument("--grid-step", type=float, default=None, help="override scenario grid_step")
-        sp.add_argument("--tmax", type=float, default=None, help="override scenario t_end")
-        sp.add_argument("--h4-mode", type=str, default=None, choices=_H4_MODE_NAMES)
-    sp = sub.add_parser("paper-figures")
-    sp.add_argument("--out", type=str, default=".", help="output directory")
-    sp.add_argument("--grid-step", type=float, default=1e-3)
+    parser.add_argument("command", choices=[*_COMMANDS, "paper-figures"])
+    parser.add_argument("--scenario", type=str, default=None, help="JSON scenario file")
+    parser.add_argument("--out", type=str, default=".", help="output directory")
+    parser.add_argument("--grid-step", type=float, default=None, help="override scenario grid_step (paper-figures: 1e-3)")
+    parser.add_argument("--tmax", type=float, default=None, help="override scenario t_end")
+    parser.add_argument("--h4-mode", type=str, default=None, choices=_H4_MODE_NAMES)
     return parser
 
 
 def _run(args) -> None:
     if args.command == "paper-figures":
-        return cmd_paper_figures(Path(args.out), grid_step=args.grid_step)
+        return cmd_paper_figures(Path(args.out), grid_step=1e-3 if args.grid_step is None else args.grid_step)
     scn = Scenario.from_file(args.scenario) if args.scenario else Scenario()
     for key, value in (("grid_step", args.grid_step), ("t_end", args.tmax), ("h4_mode", args.h4_mode)):
         if value is not None:
@@ -485,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        scenario_flags = {"--scenario": args.scenario, "--tmax": args.tmax, "--h4-mode": args.h4_mode}
+        if args.command == "paper-figures" and any(v is not None for v in scenario_flags.values()):
+            parser.error(f"paper-figures takes none of {', '.join(scenario_flags)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     with warnings.catch_warnings(record=True) as caught:

@@ -14,12 +14,15 @@ lam_plus is a sum of positive terms and lam_minus = |D0 D1|^2 Delta /
 lam_plus needs no subtraction: every time point is reduced in doubles
 through one formula.  `metric`, `eigenvalues` and the scans take a float or
 a 1-D array of times.  `_scalars_mp` is the extended-precision reference
-for that formula.  `_valid` is the package's one validity test, and the
-breakdown search narrows its first invalid step in array passes.
+for that formula.  `_valid` is the package's one validity test.  A `Region`
+holds ||y0||^2 and ||y1||^2 on a time grid from one basis pass; lam_pm for
+any D, the breakdown step and the parameter bounds are read from it, and
+only the narrowing and refinement passes evaluate the basis again.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,6 +42,7 @@ from .solutions import SolutionBasis, _basis_for, _on_time_axis
 __all__ = [
     "DilationParams",
     "MetricState",
+    "Region",
     "metric",
     "eigenvalues",
     "eta_evolution_residual",
@@ -94,11 +98,10 @@ def _abs2(v):
     return v.real * v.real + v.imag * v.imag
 
 
-def _scalars_double(d, y, delta):
-    """Scalars from stacked dual pairs and the constant Gram determinant,
-    in doubles.  An infinite l gives lam_p = inf and lam_m = 0."""
+def _scalars_double(d, n0, n1, delta):
+    """(l, lam_p, lam_m) from n0 = ||y0||^2, n1 = ||y1||^2 and the constant
+    Gram determinant, in doubles.  An infinite l gives lam_p = inf and lam_m = 0."""
     with np.errstate(over="ignore"):   # callers decide what an infinite l means
-        n0, n1 = _abs2(y).sum(axis=1)
         l = d.d0_sq * n0 + d.d1_sq * n1
     prod = d.d0_sq * d.d1_sq * delta
     # l/2 + sqrt(l^2/4 - prod) without squaring l, which overflows past 1e154
@@ -106,7 +109,7 @@ def _scalars_double(d, y, delta):
     lam_p = half + np.sqrt(np.maximum(half - root, 0.0)) * np.sqrt(half + root)
     # lam_p = 0 only where l = 0, and there prod = 0 too
     lam_m = prod / (lam_p + (lam_p == 0.0))
-    return n0, n1, l, lam_p, lam_m
+    return l, lam_p, lam_m
 
 
 def _scalars_mp(basis, d, t, z):
@@ -134,14 +137,8 @@ def _scalars(d, t, basis, y=None):
     """(n0, n1, l, lam_p, lam_m), each shaped like t; y, if given, is
     basis.dual_amplitudes(t) for a 1-D t.  Raises where l leaves double range."""
     ts, shaped = _on_time_axis(t)
-    if abs(ts).max() > basis.horizon:
-        t_bad = ts[abs(ts) > basis.horizon][0]
-        raise OverflowRangeError(f"t = {t_bad} beyond the numeric horizon {basis.horizon:.3f} of this basis")
-    out = _scalars_double(d, basis.dual_amplitudes(ts) if y is None else y, basis.gram_det)
-    if not math.isfinite(out[2].max()):   # l >= 0, so only inf or NaN can fail
-        t_bad = ts[~np.isfinite(out[2])][0]
-        raise OverflowRangeError(f"metric scalars exceed double range at t = {t_bad}")
-    return tuple(shaped(v) for v in out)
+    region = Region(basis, ts, y)
+    return tuple(shaped(v) for v in (region.n0, region.n1, *region.eigenvalues(d)))
 
 
 def metric(
@@ -219,7 +216,7 @@ def validity(ms: MetricState) -> bool:
     return bool(_valid(ms.lambda_minus))
 
 
-# --- scan helpers ------------------------------------------------------------
+# --- validity regions ---------------------------------------------------------
 
 def _grid(a: float, b: float, step: float = SCAN_STEP) -> np.ndarray:
     if b < a:
@@ -228,7 +225,6 @@ def _grid(a: float, b: float, step: float = SCAN_STEP) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-# --- parameter bounds ---------------------------------------------------------
 # With a = |D0|^2, b = |D1|^2, n0 = ||y0||^2 and n1 = ||y1||^2, lam_minus >= 1
 # holds exactly when det(eta - 1) = a b Delta - (a n0 + b n1) + 1 >= 0 and
 # tr(eta - 1) >= 0.  Each bound is a slice of that region, maximized over t.
@@ -236,58 +232,104 @@ def _grid(a: float, b: float, step: float = SCAN_STEP) -> np.ndarray:
 _UNIT = DilationParams(1.0, 1.0)
 
 
-def _slice_max(basis, ts: np.ndarray, bound) -> float:
-    """Max over t of bound(n0, n1, lam_p, Delta), with the unit-D scalars
-    scanned on the grid ts, then refined in array passes: each evaluates
-    REFINE_POINTS times between the best point's neighbours and keeps the
-    new best point's, until they are REFINE_TOL apart."""
+class Region:
+    """The unit scalars n0 = ||y0||^2 and n1 = ||y1||^2 of a basis on a time
+    grid ts, from one `dual_amplitudes` pass or from the caller's
+    y = basis.dual_amplitudes(ts).  lam_pm for any D, the first invalid grid
+    step and a bound's grid maximum are read from these arrays; only the
+    narrowing of that step and the refinement of that maximum evaluate the
+    basis again, in passes of REFINE_POINTS times."""
 
-    def f(t):
-        n0, n1, _, lam_p, _ = _scalars(_UNIT, t, basis)
-        return bound(n0, n1, lam_p, basis.gram_det)
+    def __init__(self, basis: SolutionBasis, ts: np.ndarray, y: np.ndarray | None = None):
+        if abs(ts).max() > basis.horizon:
+            t_bad = ts[abs(ts) > basis.horizon][0]
+            raise OverflowRangeError(f"t = {t_bad} beyond the numeric horizon {basis.horizon:.3f} of this basis")
+        self.basis, self.ts = basis, ts
+        with np.errstate(over="ignore"):
+            self.n0, self.n1 = _abs2(basis.dual_amplitudes(ts) if y is None else y).sum(axis=1)
 
-    best = -math.inf
-    while True:
-        values = f(ts)
-        k = int(np.argmax(values))
-        best = max(best, float(values[k]))
-        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-        if hi - lo <= REFINE_TOL:
-            return best
-        ts = np.linspace(lo, hi, REFINE_POINTS)
+    def prefix(self, ts: np.ndarray) -> "Region | None":
+        """This region on its leading points if they are ts, else None."""
+        n = ts.size
+        if n > self.ts.size or not np.array_equal(self.ts[:n], ts):
+            return None
+        sub = copy.copy(self)
+        sub.ts, sub.n0, sub.n1 = ts, self.n0[:n], self.n1[:n]
+        return sub
 
+    def scalars(self, d: DilationParams) -> tuple:
+        """(l, lam_p, lam_m) for D on the grid; lam_m reads 0 where l is infinite."""
+        return _scalars_double(d, self.n0, self.n1, self.basis.gram_det)
+
+    def eigenvalues(self, d: DilationParams) -> tuple:
+        """`scalars(d)`, raising where l leaves double range."""
+        out = self.scalars(d)
+        if not math.isfinite(out[0].max()):   # l >= 0, so only inf or NaN can fail
+            t_bad = self.ts[~np.isfinite(out[0])][0]
+            raise OverflowRangeError(f"metric scalars exceed double range at t = {t_bad}")
+        return out
+
+    def slice_max(self, bound) -> float:
+        """Max over t of bound(n0, n1, lam_p, Delta), lam_p at D0 = D1 = 1,
+        on the grid and then below its step by `_refine_max`."""
+        values = bound(self.n0, self.n1, self.eigenvalues(_UNIT)[1], self.basis.gram_det)
+        return _refine_max(self.basis, bound, self.ts, values)
+
+
+def _refine_max(basis, bound, ts: np.ndarray, values: np.ndarray) -> float:
+    """The larger of the best of values, the bound on ts, and the bound's
+    maximum between that point's neighbours: a region of REFINE_POINTS
+    times there, refined in turn until the neighbours are REFINE_TOL apart."""
+    k = int(np.argmax(values))
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    if hi - lo <= REFINE_TOL:
+        return float(values[k])
+    return max(float(values[k]), Region(basis, np.linspace(lo, hi, REFINE_POINTS)).slice_max(bound))
+
+
+def _scan_region(p, interval, basis, region) -> Region:
+    """`region` on the interval's scan grid if that is a prefix of it, else a new region."""
+    ts = _grid(float(interval[0]), float(interval[1]))
+    basis = _basis_for(p, basis if region is None else region.basis)
+    return (region and region.prefix(ts)) or Region(basis, ts)
+
+
+# --- parameter bounds ---------------------------------------------------------
 
 def equal_d_bound(
     p: HamiltonianParams,
     interval: tuple[float, float],
     basis: SolutionBasis | None = None,
+    *,
+    region: Region | None = None,
 ) -> float:
     """Smallest |D|^2 with D0 = D1 = D keeping the dilation valid on the
     interval: max of lam_plus / Delta at D0 = D1 = 1, the larger root of
     det(eta - 1) = 0 on the diagonal a = b."""
-    ts = _grid(float(interval[0]), float(interval[1]))
-    return _slice_max(_basis_for(p, basis), ts, lambda n0, n1, lam_p, delta: lam_p / delta)
+    return _scan_region(p, interval, basis, region).slice_max(lambda n0, n1, lam_p, delta: lam_p / delta)
+
+
+def _approx_d1_min(region: Region) -> float:
+    """max ||y0||^2 / Delta on the region, the d1_min of `approx_bounds_interval`."""
+    n0_end, n1_end = region.n0[-1], region.n1[-1]
+    if math.sqrt(n1_end) > 0.1 * math.sqrt(n0_end):
+        warnings.warn("||y1(t_b)|| is not small against ||y0(t_b)||; the approximate bounds may be loose", stacklevel=3)
+    return region.slice_max(lambda n0, n1, lam_p, delta: n0 / delta)
 
 
 def approx_bounds_interval(
     p: HamiltonianParams,
     interval: tuple[float, float],
     basis: SolutionBasis | None = None,
+    *,
+    region: Region | None = None,
 ) -> tuple[float, float]:
     """Large-time approximate bounds on the interval [t_a, t_b]:
     d0_min = max 2/||y0||^2 and d1_min = max ||y0||^2 / Delta, the
     |D0|^2 -> inf limit of `refined_d1_bound`."""
-    basis = _basis_for(p, basis)
-    ts = _grid(float(interval[0]), float(interval[1]))
-    n0_end, n1_end = _scalars(_UNIT, ts[-1], basis)[:2]
-    if math.sqrt(n1_end) > 0.1 * math.sqrt(n0_end):
-        warnings.warn(
-            "||y1(t_b)|| is not small against ||y0(t_b)||; the approximate bounds may be loose",
-            stacklevel=2,
-        )
-    d0_min = _slice_max(basis, ts, lambda n0, n1, lam_p, delta: 2.0 / n0)
-    d1_min = _slice_max(basis, ts, lambda n0, n1, lam_p, delta: n0 / delta)
-    return d0_min, d1_min
+    region = _scan_region(p, interval, basis, region)
+    d1_min = _approx_d1_min(region)
+    return region.slice_max(lambda n0, n1, lam_p, delta: 2.0 / n0), d1_min
 
 
 def refined_d1_bound(
@@ -295,19 +337,20 @@ def refined_d1_bound(
     d0_sq: float,
     interval: tuple[float, float],
     basis: SolutionBasis | None = None,
+    *,
+    region: Region | None = None,
 ) -> float:
     """Smallest |D1|^2 keeping the dilation valid on the interval at the
     given |D0|^2: the max over t of (|D0|^2 ||y0||^2 - 1) / (|D0|^2 Delta -
     ||y1||^2), the b-root of det(eta - 1) = 0; in practice the endpoint
     dominates."""
-    basis = _basis_for(p, basis)
-    ts = _grid(float(interval[0]), float(interval[1]))
+    region = _scan_region(p, interval, basis, region)
     # the b-root exists only where |D0|^2 Delta > ||y1||^2: demand it at every t
-    n1_max = _scalars(_UNIT, ts, basis)[1].max()
-    if d0_sq * basis.gram_det <= n1_max:
+    n1_max, ts = region.n1.max(), region.ts
+    if d0_sq * region.basis.gram_det <= n1_max:
         raise DegenerateDenominatorError(
             f"need d0_sq * Delta > max ||y1||^2 on [{ts[0]:g}, {ts[-1]:g}] = {n1_max}, "
-            f"got d0_sq = {d0_sq}, Delta = {basis.gram_det}"
+            f"got d0_sq = {d0_sq}, Delta = {region.basis.gram_det}"
         )
 
     def bound(n0, n1, lam_p, delta):
@@ -315,30 +358,29 @@ def refined_d1_bound(
         usable = den > 1e-12
         return np.where(usable, (d0_sq * n0 - 1.0) / np.where(usable, den, 1.0), -math.inf)
 
-    return _slice_max(basis, ts, bound)
+    return region.slice_max(bound)
 
 
-def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
+def _breakdown_scan(d, t_lo: float, t_hi: float, basis, region: Region | None = None) -> float | None:
     """First t in (t_lo, t_hi] where the dilation turns invalid, or None.
     Where l leaves double range lam_minus reads as 0, since it is below
     2 |D0 D1|^2 Delta / l there; only at t_lo is that an overflow error.
-    The grid is evaluated in equal passes of at most SCAN_CHUNK points, up
-    to the first pass that holds an invalid point.  The step into it is
-    then narrowed in passes over the REFINE_POINTS - 2 interior points of
-    the bracket, each keeping the first valid-to-invalid step, until it is
-    BREAKDOWN_XTOL wide."""
+    The grid is read in one pass from `region` where it is the region's
+    leading points, else evaluated in equal passes of at most SCAN_CHUNK
+    points, up to the first pass that holds an invalid point.  The step
+    into it is then narrowed in passes over the REFINE_POINTS - 2 interior
+    points of the bracket, each keeping the first valid-to-invalid step,
+    until it is BREAKDOWN_XTOL wide."""
     if t_hi > basis.horizon:
         raise OverflowRangeError(
             f"t_max = {t_hi} beyond the numeric horizon {basis.horizon:.3f} of this basis"
         )
-
-    def scalars(ts):   # (l, lam_minus)
-        return _scalars_double(d, basis.dual_amplitudes(ts), basis.gram_det)[2::2]
-
     ts = _grid(t_lo, t_hi)
+    whole = region and region.prefix(ts)
+    passes = [whole] if whole else (Region(basis, part) for part in np.array_split(ts, -(-ts.size // SCAN_CHUNK)))
     k = 0   # ts[k] is the first point of the pass
-    for part in np.array_split(ts, -(-ts.size // SCAN_CHUNK)):
-        l, lam_m = scalars(part)
+    for part in passes:
+        l, _, lam_m = part.scalars(d)
         if k == 0 and not _valid(lam_m[0]):
             if not math.isfinite(l[0]):
                 raise OverflowRangeError(f"metric scalars exceed double range at t = {t_lo}")
@@ -346,14 +388,14 @@ def _breakdown_scan(d, t_lo: float, t_hi: float, basis) -> float | None:
         valid = _valid(lam_m)
         if not valid.all():
             break
-        k += part.size
+        k += part.ts.size
     else:
         return None
     k += int(np.argmin(valid))   # ts[k - 1] is valid, ts[k] is not
     lo, hi = float(ts[k - 1]), float(ts[k])
     while hi - lo > BREAKDOWN_XTOL:
         pts = np.linspace(lo, hi, REFINE_POINTS)
-        i = int(np.argmin(np.append(_valid(scalars(pts[1:-1])[1]), False)))   # pts[i + 1] is invalid
+        i = int(np.argmin(np.append(_valid(Region(basis, pts[1:-1]).scalars(d)[2]), False)))   # pts[i + 1] is invalid
         lo, hi = float(pts[i]), float(pts[i + 1])
     return (lo + hi) / 2.0
 
@@ -363,12 +405,16 @@ def breakdown_time(
     d: DilationParams,
     t_max: float,
     basis: SolutionBasis | None = None,
+    *,
+    region: Region | None = None,
 ) -> float | None:
     """First t in (0, t_max] where lam_minus crosses one, or None.
 
-    Scans with step 1e-3 and narrows the first invalid step to 1e-9 in passes of 33 points.
+    Scans with step 1e-3, read from `region` where its leading points are
+    that grid, and narrows the first invalid step to 1e-9 in passes of 33 points.
     """
-    return _breakdown_scan(d, 0.0, float(t_max), _basis_for(p, basis))
+    basis = _basis_for(p, basis if region is None else region.basis)
+    return _breakdown_scan(d, 0.0, float(t_max), basis, region)
 
 
 def metric_asymptotics(

@@ -14,7 +14,16 @@ from ptdilate.cli import _CSV_BLOCK_ROWS, MAX_GRID_POINTS, Scenario, _e_cells, _
 from ptdilate.dilation import tau_from_metric
 from ptdilate.errors import OverflowRangeError, ValidationError
 from ptdilate.evolve import dilation_efficiency, propagate_analytic
-from ptdilate.metric import DilationParams, breakdown_time, eigenvalues, metric
+from ptdilate.metric import (
+    REFINE_POINTS,
+    DilationParams,
+    approx_bounds_interval,
+    breakdown_time,
+    eigenvalues,
+    equal_d_bound,
+    metric,
+    refined_d1_bound,
+)
 from ptdilate.model import HamiltonianParams, PhaseLabel, instantaneous_spectrum
 from ptdilate.solutions import SolutionBasis, _whittaker_knots
 
@@ -255,6 +264,18 @@ class TestBoundsCommand:
         p, ts = HamiltonianParams(1.0, 0.5), np.linspace(2.0, 3.5, 1501)
         assert eigenvalues(p, DilationParams(0.9, d1_sq), ts)[1].min() >= 1.0 - 1e-9
         assert eigenvalues(p, DilationParams(0.9, 0.999999 * d1_sq), ts)[1].min() < 1.0 - 1e-9
+
+    def test_bounds_from_one_region_equal_each_functions_own_scan(self, tmp_path):
+        # the command reads every bound from one region on [t_start, t_end];
+        # each function called alone scans that interval itself
+        scn = _write_scenario(tmp_path / "s.json", d0_sq=0.9, t_start=2.0, t_end=3.5)
+        assert main(["bounds", "--scenario", scn, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bounds.json").read_text())
+        p, interval = HamiltonianParams(1.0, 0.5), (2.0, 3.5)
+        d0_min, d1_min = approx_bounds_interval(p, interval)
+        assert (report["approx_d0_min"], report["approx_d1_min"]) == (float(f"{d0_min:.11e}"), float(f"{d1_min:.11e}"))
+        assert report["equal_d_bound"] == float(f"{equal_d_bound(p, interval):.11e}")
+        assert report["refined_d1_bound"] == float(f"{refined_d1_bound(p, 0.9, interval):.11e}")
 
 
 class TestBreakdownCommand:
@@ -507,9 +528,8 @@ class TestPaperFigures:
         assert thresholds["y0_norm_sq_2p1"] == pytest.approx(4.129, abs=0.005)
         assert thresholds["refined_d1_bound_2p1"] == pytest.approx(4.633, abs=0.005)
 
-    def test_each_table_grid_is_evaluated_once(self, tmp_path, monkeypatch):
-        # the tables for D1^2 = 238 and 1474 share the 5001 points of [0, 5],
-        # those for 4.13 and 4.634 the 2501 points of [0, 2.5]
+    @staticmethod
+    def _basis_call_sizes(monkeypatch):
         sizes = []
         dual_amplitudes = SolutionBasis.dual_amplitudes
 
@@ -518,8 +538,27 @@ class TestPaperFigures:
             return dual_amplitudes(self, t)
 
         monkeypatch.setattr(SolutionBasis, "dual_amplitudes", counted)
+        return sizes
+
+    def test_each_table_grid_is_evaluated_once(self, tmp_path, monkeypatch):
+        # the tables for D1^2 = 238 and 1474 share the 5001 points of [0, 5],
+        # those for 4.13 and 4.634 the 2501 points of [0, 2.5]; the breakdown
+        # and bound searches read those grids and evaluate the basis only in
+        # narrowing and refinement passes
+        sizes = self._basis_call_sizes(monkeypatch)
         assert main(["paper-figures", "--out", str(tmp_path)]) == 0
         assert sizes.count(5001) == 1 and sizes.count(2501) == 1
+        assert max(sorted(sizes)[:-2]) <= REFINE_POINTS
+
+    def test_off_scan_grid_searches_keep_their_values(self, tmp_path, monkeypatch):
+        # at grid step 0.002 no table grid is the 1e-3 scan grid of a search,
+        # so each search evaluates its own grid, with the same results
+        assert main(["paper-figures", "--out", str(tmp_path / "scan")]) == 0
+        sizes = self._basis_call_sizes(monkeypatch)
+        assert main(["paper-figures", "--grid-step", "0.002", "--out", str(tmp_path / "coarse")]) == 0
+        assert sizes.count(2501) == 1 and sizes.count(1251) == 1 and max(sizes) == 4501
+        scan, coarse = (json.loads((tmp_path / name / "thresholds.json").read_text()) for name in ("scan", "coarse"))
+        assert coarse == scan
 
     @pytest.mark.parametrize("step", ["0", "nan", "-0.5", "inf", "1e-12"])
     def test_bad_grid_step_exit_2(self, tmp_path, step):
@@ -530,6 +569,20 @@ class TestPaperFigures:
 class TestArgparseBehavior:
     def test_unknown_command_exits_2(self):
         assert main(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--scenario", "x.json"], ["--tmax", "3"], ["--h4-mode", "mirror"]])
+    def test_paper_figures_refuses_scenario_options(self, tmp_path, flags):
+        assert main(["paper-figures", *flags, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_h4_mode_exits_2(self, tmp_path):
+        assert main(["dilate", "--h4-mode", "bogus", "--out", str(tmp_path)]) == 2
+
+    def test_options_before_or_after_the_command(self, tmp_path):
+        scn = _write_scenario(tmp_path / "s.json", t_end=2.0)
+        assert main(["--tmax", "5.0", "breakdown", "--scenario", scn, "--out", str(tmp_path / "a")]) == 0
+        assert main(["breakdown", "--out", str(tmp_path / "b"), "--tmax", "5.0", "--scenario", scn]) == 0
+        assert (tmp_path / "a" / "breakdown.json").read_bytes() == (tmp_path / "b" / "breakdown.json").read_bytes()
 
     def test_tmax_override(self, tmp_path):
         scn = _write_scenario(tmp_path / "s.json", t_end=2.0)

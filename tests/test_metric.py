@@ -207,8 +207,8 @@ class TestRefinedBound:
         assert lam_m.min() >= 1.0 - 1e-9
 
 
-def _brent_slice_max(basis, ts, bound):
-    """The refinement `_slice_max` had before its array passes: the coarse
+def _brent_refine_max(basis, bound, ts, values):
+    """The refinement the bounds had before their array passes: the coarse
     scan's best point, refined between its grid neighbours by scipy's
     bounded `minimize_scalar` to xatol 1e-10."""
     from scipy.optimize import minimize_scalar
@@ -217,7 +217,6 @@ def _brent_slice_max(basis, ts, bound):
         n0, n1, _, lam_p, _ = metric_module._scalars(metric_module._UNIT, t, basis)
         return bound(n0, n1, lam_p, basis.gram_det)
 
-    values = f(ts)
     k = int(np.argmax(values))
     lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
     res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
@@ -225,7 +224,8 @@ def _brent_slice_max(basis, ts, bound):
 
 
 class TestSliceMaxOracle:
-    """The array-pass refinement of each bound against scipy's bounded Brent."""
+    """The array-pass refinement of each bound against scipy's bounded Brent,
+    swapped in at the refinement seam `_refine_max`."""
 
     @pytest.mark.parametrize(
         "compute",
@@ -249,7 +249,7 @@ class TestSliceMaxOracle:
     )
     def test_matches_bounded_brent(self, monkeypatch, compute):
         value = compute()
-        monkeypatch.setattr(metric_module, "_slice_max", _brent_slice_max)
+        monkeypatch.setattr(metric_module, "_refine_max", _brent_refine_max)
         assert value == pytest.approx(compute(), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("interval, sign", [((0.0, 3.0), 1.0), ((2.0, 3.0), -1.0)])
@@ -259,10 +259,11 @@ class TestSliceMaxOracle:
         basis = solution_basis(P)
         ts = metric_module._grid(*interval)
         bound = lambda n0, n1, lam_p, delta: sign * n0
-        value = metric_module._slice_max(basis, ts, bound)
+        region = metric_module.Region(basis, ts)
+        value = region.slice_max(bound)
         end = interval[1] if sign > 0 else interval[0]
         assert value == pytest.approx(sign * metric_module._scalars(metric_module._UNIT, end, basis)[0], rel=1e-15)
-        assert value == pytest.approx(_brent_slice_max(basis, ts, bound), rel=1e-12, abs=0)
+        assert value == pytest.approx(_brent_refine_max(basis, bound, ts, sign * region.n0), rel=1e-12, abs=0)
 
 
 # the Whittaker basis, where Delta = 4 w^2, also at w = 1/2
@@ -306,6 +307,20 @@ class TestBoundsGeneralOmega:
         _, d1_min = approx_bounds_interval(p, (0.0, 2.0), basis)
         ratios = [n0 / delta for delta, n0 in (_gram_from_duals(basis, t) for t in np.linspace(0.0, 2.0, 2001))]
         assert d1_min == pytest.approx(max(ratios), rel=1e-9)
+
+
+@pytest.fixture
+def basis_call_sizes(monkeypatch):
+    """The number of times in each SolutionBasis.dual_amplitudes call."""
+    sizes = []
+    dual_amplitudes = SolutionBasis.dual_amplitudes
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return dual_amplitudes(self, t)
+
+    monkeypatch.setattr(SolutionBasis, "dual_amplitudes", counted)
+    return sizes
 
 
 class TestBreakdown:
@@ -365,19 +380,6 @@ class TestBreakdown:
         assert t_break == pytest.approx(_first_invalid_time(d, 2.0), abs=1e-9)
         assert t_break == pytest.approx(1.0e-6, abs=1e-9)
 
-    @pytest.fixture
-    def basis_call_sizes(self, monkeypatch):
-        """The number of times in each SolutionBasis.dual_amplitudes call."""
-        sizes = []
-        dual_amplitudes = SolutionBasis.dual_amplitudes
-
-        def counted(self, t):
-            sizes.append(np.size(t))
-            return dual_amplitudes(self, t)
-
-        monkeypatch.setattr(SolutionBasis, "dual_amplitudes", counted)
-        return sizes
-
     @pytest.mark.parametrize("omega", [0.5, 0.37])
     def test_search_evaluates_no_single_point(self, basis_call_sizes, omega):
         # the crossing is narrowed in array passes, not by one-point bisection
@@ -395,6 +397,62 @@ class TestBreakdown:
         # lambda_minus reads 0 there without the dilation being invalid
         with pytest.raises(OverflowRangeError, match="exceed double range"):
             breakdown_time(HamiltonianParams(1.0, 0.0015), D_REF, 0.002)
+
+
+class TestRegion:
+    """Every D answered from one evaluation of the basis on a grid."""
+
+    BASIS = solution_basis(P)
+
+    def _region(self, t_end):
+        return metric_module.Region(self.BASIS, metric_module._grid(0.0, t_end))
+
+    def test_thousand_pairs_from_one_grid_call(self, basis_call_sizes):
+        region = self._region(2.5)
+        rng = np.random.default_rng(16)
+        pairs = [DilationParams(a, b) for a, b in 10.0 ** rng.uniform([0.3, 0.5], [1.5, 3.0], (1000, 2))]
+        answers = [breakdown_time(P, d, 2.5, region=region) for d in pairs]
+        grid_calls = [size for size in basis_call_sizes if size > metric_module.REFINE_POINTS]
+        assert grid_calls == [2501]
+        crossings = [t for t in answers if t is not None]
+        assert 100 < len(crossings) < 1000
+        for d, t in zip(pairs[:1000:50], answers[:1000:50]):
+            assert t == breakdown_time(P, d, 2.5)
+
+    def test_answers_equal_the_functions_on_their_own_grids(self):
+        # the pinned breakdowns and the bounds that thresholds.json reports,
+        # bitwise; each function called alone scans its own grid
+        scan, short = self._region(5.0), self._region(2.5)
+        for d1_sq, region, t_max in ((238.0, scan, 5.0), (1474.0, scan, 5.0), (4.13, short, 2.5), (4.634, short, 2.5)):
+            d = DilationParams(3.5, d1_sq)
+            assert breakdown_time(P, d, t_max, region=region) == breakdown_time(P, d, t_max)
+            lam = eigenvalues(P, d, region.ts)
+            assert all(np.array_equal(a, b) for a, b in zip(region.eigenvalues(d)[1:], lam))
+        assert approx_bounds_interval(P, (0.0, 4.0), region=scan) == approx_bounds_interval(P, (0.0, 4.0))
+        d1_4p5 = approx_bounds_interval(P, (0.0, 4.5))[1]
+        assert approx_bounds_interval(P, (0.0, 4.5), region=scan)[1] == d1_4p5
+        assert metric_module._approx_d1_min(metric_module._scan_region(P, (0.0, 4.5), None, scan)) == d1_4p5
+        assert refined_d1_bound(P, 3.5, (0.0, 2.1), region=scan) == refined_d1_bound(P, 3.5, (0.0, 2.1))
+        assert equal_d_bound(P, (0.0, 4.0), region=scan) == equal_d_bound(P, (0.0, 4.0))
+
+    def test_prefix_only_of_leading_points(self):
+        region, grid = self._region(5.0), metric_module._grid
+        for t_end in (2.1, 2.5, 3.9, 4.0, 4.5, 5.0):
+            sub = region.prefix(grid(0.0, t_end))
+            assert sub is not None and np.shares_memory(sub.n0, region.n0) and sub.ts[-1] == t_end
+        for ts in (grid(0.5, 4.0), grid(0.0, 4.0, 2e-3), grid(0.0, 5.5)):
+            assert region.prefix(ts) is None
+
+    def test_searches_fall_back_to_their_own_grid(self, basis_call_sizes):
+        # a region on another step or start holds none of the scan grids
+        region = metric_module.Region(self.BASIS, metric_module._grid(0.0, 5.0, 2e-3))
+        assert equal_d_bound(P, (0.0, 4.0), region=region) == equal_d_bound(P, (0.0, 4.0))
+        assert breakdown_time(P, D_REF, 5.0, region=region) == breakdown_time(P, D_REF, 5.0)
+        assert 4001 in basis_call_sizes
+
+    def test_region_for_other_parameters_rejected(self):
+        with pytest.raises(ValidationError, match="basis was built for"):
+            breakdown_time(HamiltonianParams(1.0, 1.0), D_REF, 2.0, region=self._region(2.0))
 
 
 def _per_point_breakdown(d, t_max):

@@ -21,7 +21,11 @@ w = 1/2, D = (3.5, 238) on [0, 3.9].  Printed, in microseconds:
 - the `simulate` command (`cmd_simulate`, N runs) and, inside it, the
   write of `simulate.csv` (`_write_csv`);
 - the `paper-figures` command (`cmd_paper_figures`, N runs) and, inside
-  it, the write of each of its four `lambda_minus_d*.csv` tables.
+  it, the write of each of its four `lambda_minus_d*.csv` tables, its
+  breakdown searches and its bound searches (the `breakdown_time` calls,
+  and the bound-function calls, summed per run);
+- the basis points and calls of one `paper-figures` and one default
+  `bounds` run, counted by wrapping `SolutionBasis.dual_amplitudes`.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def main() -> None:
     from ptdilate.dilation import H4Mode, assemble_dilated
     from ptdilate.metric import DilationParams
     from ptdilate.model import HamiltonianParams
-    from ptdilate.solutions import solution_basis
+    from ptdilate.solutions import SolutionBasis, solution_basis
 
     n = args.repeat
     p, d = HamiltonianParams(1.0, 0.5), DilationParams(3.5, 238.0)
@@ -105,19 +109,65 @@ def main() -> None:
         write_csv(path, columns)
         writes.setdefault(path.name, []).append(time.perf_counter() - t0)
 
+    # the search functions as `cli` binds them; a checkout may lack some
+    searches = {
+        "breakdown searches": ("breakdown_time",),
+        "bound searches": ("approx_bounds_interval", "refined_d1_bound", "equal_d_bound", "_approx_d1_min"),
+    }
+    search_s = dict.fromkeys(searches, 0.0)   # seconds in the current run
+    originals = {name: getattr(cli, name) for names in searches.values() for name in names if hasattr(cli, name)}
+
+    def timed_search(kind, fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                search_s[kind] += time.perf_counter() - t0
+        return call
+
+    def figures_run(out):
+        search_s.update(dict.fromkeys(searches, 0.0))
+        cli.cmd_paper_figures(out)
+        return dict(search_s)
+
     scn = cli.Scenario(t_end=3.9).validate()
     cli._write_csv = timed_write
+    for kind, names in searches.items():
+        for name in names:
+            if name in originals:
+                setattr(cli, name, timed_search(kind, originals[name]))
     try:
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
             runs = _timed(cli.cmd_simulate, [(scn, Path(out))] * n)
-            figures = _timed(cli.cmd_paper_figures, [(Path(out),)] * n)
+            per_run = []
+            figures = _timed(lambda: per_run.append(figures_run(Path(out))), [()] * n)
     finally:
         cli._write_csv = write_csv
+        for name, fn in originals.items():
+            setattr(cli, name, fn)
     print(f"cmd_simulate on [0, 3.9]                     {_median_us(runs)}  ({n} runs)")
     print(f"  of which the simulate.csv write            {_median_us(writes.pop('simulate.csv'))}")
     print(f"cmd_paper_figures                            {_median_us(figures)}  ({n} runs)")
     for name, samples in sorted(writes.items()):
         print(f"  of which the {name + ' write':<30}{_median_us(samples)}")
+    for kind in searches:
+        print(f"  of which the {kind:<30}{_median_us([run[kind] for run in per_run])}")
+
+    sizes, dual_amplitudes = [], SolutionBasis.dual_amplitudes   # times per basis call
+    SolutionBasis.dual_amplitudes = lambda self, t: sizes.append(np.size(t)) or dual_amplitudes(self, t)
+    counts = {}
+    try:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            for label, command, inputs in (("paper-figures", cli.cmd_paper_figures, ()),
+                                           ("bounds (default scenario)", cli.cmd_bounds, (cli.Scenario(),))):
+                sizes.clear()
+                command(*inputs, Path(out))
+                counts[label] = (sum(sizes), len(sizes), sum(size > 33 for size in sizes))
+    finally:
+        SolutionBasis.dual_amplitudes = dual_amplitudes
+    for label, (points, calls, large) in counts.items():
+        print(f"basis points of one {label} run: {points} in {calls} calls, {large} of them over 33 times")
 
 
 if __name__ == "__main__":
