@@ -1,5 +1,7 @@
 """Integration of the small system, its dual and the 4-dim embedding."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -160,6 +162,23 @@ class TestSimulateDilated:
         assert np.abs(a.states - b.states).max() < 1e-8
 
 
+def _degree_switches():
+    """The norms r < 1/2 where r^(q+1) / (q+1)! e^r = 4e-17, q = 1 .. 13,
+    by bisection: there the Taylor degree of `_expm_skew` steps from q to
+    q + 1."""
+    switches = []
+    for q in range(1, 14):
+        lo, hi = 0.0, 0.5
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mid ** (q + 1) / math.factorial(q + 1) * math.exp(mid) < 4e-17 else (lo, mid)
+        switches.append(lo)
+    return switches
+
+
+SWITCH_NORMS = [r * f for r in _degree_switches() + [0.5] for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+
+
 def _dop853_propagator(p, d, mode, basis, span, grid):
     """U(t, t0) on the grid from one DOP853 run (rtol 1e-12) over the four
     columns of the identity: i U' = hh U, with U flattened row by row."""
@@ -212,9 +231,12 @@ class TestMagnus:
             assert np.abs(u[k] - expm(omega_k)).max() <= 1e-13
         assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
 
-    @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-3, 0.3, 0.49, 0.7, 1.5, 3.5, 7.0, 15.0, 30.0, 60.0])
+    @pytest.mark.parametrize(
+        "norm", [0.0, 1e-8, 1e-3, 0.044, 0.3, 0.44, 0.49, 0.7, 1.5, 3.5, 7.0, 15.0, 30.0, 60.0] + SWITCH_NORMS
+    )
     def test_exponential_matches_expm(self, norm):
-        # random anti-Hermitian 4x4 stacks of one Frobenius norm (s = 0 .. 7),
+        # random anti-Hermitian 4x4 stacks of one Frobenius norm (s = 0 .. 7,
+        # and on either side of each Taylor degree switch and of s = 0 -> 1),
         # and the same steps in one chunk with a step of norm 60, which sets
         # s = 7 for all of them; steps 0 and 6 are rank one, so that their
         # 2-norm is their Frobenius norm and the truncation error the largest
@@ -231,6 +253,58 @@ class TestMagnus:
             assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4)).max() <= 1e-13
         if norm == 0.0:
             assert (evolve._expm_skew(x[..., :6], 0.0) == np.eye(4)[..., None]).all()
+
+    def test_degree_steps_at_the_truncation_bound(self):
+        # exp of the 1x1 stack i is the degree-q partial sum of e^i, whatever
+        # the norm passed, so the degree the norm picks shows: q just below
+        # the switch from q to q + 1, q + 1 just above it
+        partial = np.cumsum([1j**k / math.factorial(k) for k in range(16)])
+        for q, switch in enumerate(_degree_switches(), start=1):
+            for norm, degree in ((switch * (1.0 - 1e-9), q), (switch * (1.0 + 1e-9), q + 1)):
+                u = evolve._expm_skew(np.full((1, 1, 1), 1j), norm)[0, 0, 0]
+                assert np.argmin(np.abs(partial - u)) == degree
+
+    def test_small_norm_takes_fewer_products(self, monkeypatch):
+        # the output run's steps (||Omega||_F <= 0.044 at the 1e-3 grid) must
+        # stay cheaper than the step check's (about 0.44)
+        calls, matmul = [], evolve._matmul
+        monkeypatch.setattr(evolve, "_matmul", lambda a, b: calls.append(1) or matmul(a, b))
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 4, 3)) + 1j * rng.normal(size=(4, 4, 3))
+        x = 0.5 * (a - a.conj().swapaxes(0, 1))
+        x /= np.linalg.norm(x, axis=(0, 1)).max()
+        products = []
+        for norm in (0.05, 0.4):
+            calls.clear()
+            evolve._expm_skew(norm * x, norm)
+            products.append(len(calls))
+        assert products[0] < products[1]
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [3, 5, 1, 7, 2],   # pieces that are not whole blocks
+            [1],
+            [evolve.CHUNK_STEPS],
+            [0, 0, 5, 0, 300, evolve.CHUNK_STEPS - 305, 0, 0, 30, 0],   # zero-step pieces, two at a chunk boundary
+            [2 * evolve.CHUNK_STEPS + 3],
+        ],
+    )
+    def test_run_matches_one_by_one_product(self, counts):
+        # a generator constant on each step [k h, (k + 1) h), a random
+        # Hermitian H_k, so that the step's Omega is -i h H_k: the states at
+        # the edges against the product of scipy's expm(-i h H_k), step by step
+        h, counts = 0.01, np.array(counts)
+        rng = np.random.default_rng(counts.size)
+        a = rng.normal(size=(counts.sum(), 4, 4)) + 1j * rng.normal(size=(counts.sum(), 4, 4))
+        hs = a + a.conj().swapaxes(1, 2)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ends = np.append(0, np.cumsum(counts))
+        states = evolve._magnus_run(lambda ts: hs[np.floor(ts / h).astype(int)], psi, h * ends, counts)
+        ref = [psi]
+        for m in hs:
+            ref.append(expm(-1j * h * m) @ ref[-1])
+        assert np.linalg.norm(states - np.array(ref)[ends], axis=1).max() <= 1e-13 * np.linalg.norm(psi)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_exponent_rejected(self):

@@ -16,8 +16,13 @@ w = 1/2, D = (3.5, 238) on [0, 3.9].  Printed, in microseconds:
   matrices computed beforehand, so that only the Magnus combination and
   the exponentials are timed (N calls), and inside it `_expm_skew`, the
   exponentials alone, on the anti-Hermitian Omega stack of that chunk
-  (N calls; its largest ||Omega||_F is printed beside it, and the line is
-  left out for a checkout without `_expm_skew`);
+  (N calls; its largest ||Omega||_F and the Taylor degree taken at it are
+  printed beside it, and the line is left out for a checkout without
+  `_expm_skew`); both for the chunk above, steps of 3.9 / 512, and for a
+  chunk of steps of 1e-3 from t = 0, the output run's on the default grid;
+- `_magnus_run`'s propagation of the state through that last chunk, with
+  its propagators computed beforehand (N calls, each with one copy of the
+  propagator stack);
 - the `simulate` command (`cmd_simulate`, N runs) and, inside it, the
   write of `simulate.csv` (`_write_csv`);
 - the `paper-figures` command (`cmd_paper_figures`, N runs) and, inside
@@ -33,11 +38,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,6 +63,17 @@ def _timed(fn, args_list) -> list[float]:
     return samples
 
 
+def _taylor_degree(expm_skew, norm: float) -> int:
+    """The Taylor degree expm_skew takes at this largest norm: the exponential
+    of the 1x1 stack i 2^s, which the scaling makes i, is the 2^s-th power of
+    a partial sum of e^i, and partial sums of different degrees differ by
+    more than rounding."""
+    s = math.frexp(norm)[1] + 1 if norm >= 0.5 else 0
+    u = expm_skew(np.full((1, 1, 1), 1j * 2.0**s), norm)[0, 0, 0]
+    partial = np.cumsum([1j**k / math.factorial(k) for k in range(20)]) ** 2**s
+    return int(np.argmin(np.abs(partial - u)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the ptdilate package")
@@ -63,8 +82,6 @@ def main() -> None:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     sys.path.insert(0, args.src)
-
-    import numpy as np
 
     from ptdilate import cli, evolve
     from ptdilate.dilation import H4Mode, assemble_dilated
@@ -89,18 +106,34 @@ def main() -> None:
         print(f"assemble_dilated {mode.value:>14}, 1 time    {_median_us(single)}  ({len(single)} calls)")
         print(f"assemble_dilated {mode.value:>14}, {nodes.size} times {_median_us(chunk)}  ({n} calls)")
 
-    hh = assemble_dilated(p, d, nodes, H4Mode.HERMITIAN_PART, basis).hh
-    magnus = _timed(evolve._magnus_steps, [(lambda ts: hh, starts, widths)] * n)
-    print(f"_magnus_steps, {steps} steps                   {_median_us(magnus)}  ({n} calls)")
-    if hasattr(evolve, "_expm_skew"):   # older checkouts exponentiate through np.linalg.eigh
-        exponents, expm_skew = [], evolve._expm_skew   # the (x, norm) of one chunk
-        evolve._expm_skew = lambda *args: exponents.append(args) or expm_skew(*args)
-        try:
-            evolve._magnus_steps(lambda ts: hh, starts, widths)
-        finally:
-            evolve._expm_skew = expm_skew
-        exponentials = _timed(expm_skew, exponents * n)
-        print(f"  of which _expm_skew, ||Omega||_F <= {exponents[0][1]:.3f}  {_median_us(exponentials)}  ({n} calls)")
+    for width in (3.9 / steps, 1e-3):
+        widths = np.full(steps, width)
+        starts = np.arange(steps) * width
+        hh = assemble_dilated(p, d, (starts[:, None] + widths[:, None] * evolve._GL_NODES).ravel(), H4Mode.HERMITIAN_PART, basis).hh
+        magnus = _timed(evolve._magnus_steps, [(lambda ts: hh, starts, widths)] * n)
+        print(f"_magnus_steps, {steps} steps of {width:.2e}          {_median_us(magnus)}  ({n} calls)")
+        if hasattr(evolve, "_expm_skew"):   # older checkouts exponentiate through np.linalg.eigh
+            exponents, expm_skew = [], evolve._expm_skew   # the (x, norm) of one chunk
+            evolve._expm_skew = lambda *args: exponents.append(args) or expm_skew(*args)
+            try:
+                evolve._magnus_steps(lambda ts: hh, starts, widths)
+            finally:
+                evolve._expm_skew = expm_skew
+            exponentials = _timed(expm_skew, exponents * n)
+            norm = exponents[0][1]
+            print(f"  of which _expm_skew, ||Omega||_F <= {norm:.3f}, degree {_taylor_degree(expm_skew, norm):2d}"
+                  f"{_median_us(exponentials)}  ({n} calls)")
+
+    # the propagators of the last chunk, handed out afresh at each call, as a
+    # newer `_magnus_run` overwrites them
+    propagators, magnus_steps = evolve._magnus_steps(lambda ts: hh, starts, widths), evolve._magnus_steps
+    evolve._magnus_steps = lambda *args: propagators.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+    edges, counts, psi0 = np.append(starts, steps * width), np.ones(steps, dtype=int), np.array([1.0, 0.0, 0.5, 0.5j])
+    try:
+        propagation = _timed(evolve._magnus_run, [(None, psi0, edges, counts)] * n)
+    finally:
+        evolve._magnus_steps = magnus_steps
+    print(f"_magnus_run propagation, {steps} steps             {_median_us(propagation)}  ({n} calls)")
 
     writes, write_csv = {}, cli._write_csv   # seconds per call, by file name
 
