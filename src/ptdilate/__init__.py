@@ -2,72 +2,16 @@
 
 Analytic Whittaker/closed-form solutions, the two-parameter metric operator
 with validity analysis, the 4x4 Hermitian embedding, and verified
-co-simulation of both systems.
+co-simulation of both systems.  The package's public names are its
+modules' `__all__`.
 """
 
-from .dilation import (
-    DilatedHamiltonian,
-    H4Mode,
-    assemble_dilated,
-    hermiticity_defect,
-    tau_derivative,
-    tau_from_metric,
-)
-from .errors import (
-    BreakdownError,
-    DegenerateDenominatorError,
-    DomainError,
-    IntegrationError,
-    InvalidMetricError,
-    NearBreakdownError,
-    OverflowRangeError,
-    PTDilateError,
-    ValidationError,
-)
-from .evolve import (
-    EvolutionConfig,
-    Trajectory,
-    dilation_efficiency,
-    integrate_linear,
-    propagate_analytic,
-    simulate_dilated,
-)
-from .metric import (
-    DilationParams,
-    MetricState,
-    Region,
-    approx_bounds_interval,
-    breakdown_time,
-    eigenvalues,
-    equal_d_bound,
-    eta_evolution_residual,
-    metric,
-    metric_asymptotics,
-    refined_d1_bound,
-    validity,
-)
-from .model import (
-    HamiltonianParams,
-    PhaseLabel,
-    Spectrum,
-    SIGMA_X,
-    hamiltonian,
-    instantaneous_spectrum,
-)
-from .solutions import (
-    Representation,
-    SolutionBasis,
-    model_kappas,
-    solution_basis,
-    wronskian,
-)
-from .specfun import (
-    Ray,
-    RayArgument,
-    WhittakerIndex,
-    erfi,
-    hermite_poly,
-    whittaker_w,
-)
+from .dilation import *
+from .errors import *
+from .evolve import *
+from .metric import *
+from .model import *
+from .solutions import *
+from .specfun import *
 
 __version__ = "0.1.0"

@@ -332,8 +332,8 @@ def simulate_dilated(
     - "upper_deviation": ||Psi_up - psi|| / ||psi||.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (2,) or np.linalg.norm(psi0) == 0.0:
-        raise ValidationError("psi0 must be a nonzero 2-dim complex vector")
+    if psi0.shape != (2,) or not np.isfinite(psi0).all() or np.linalg.norm(psi0) == 0.0:
+        raise ValidationError("psi0 must be a finite nonzero 2-dim complex vector")
     basis = _basis_for(p, basis)
     t_break = _breakdown_scan(d, float(span[0]), float(span[1]), basis)
     if t_break is not None:

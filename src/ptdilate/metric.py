@@ -74,6 +74,8 @@ class DilationParams:
     def __post_init__(self):
         if self.d0_sq < 0.0 or self.d1_sq < 0.0:
             raise ValidationError("dilation parameters are squared moduli and must be >= 0")
+        if not (math.isfinite(self.d0_sq) and math.isfinite(self.d1_sq)):
+            raise ValidationError(f"dilation parameters must be finite, got {self.d0_sq}, {self.d1_sq}")
 
 
 @dataclass
@@ -133,14 +135,6 @@ def _scalars_mp(basis, d, t, z):
     return out
 
 
-def _scalars(d, t, basis, y=None):
-    """(n0, n1, l, lam_p, lam_m), each shaped like t; y, if given, is
-    basis.dual_amplitudes(t) for a 1-D t.  Raises where l leaves double range."""
-    ts, shaped = _on_time_axis(t)
-    region = Region(basis, ts, y)
-    return tuple(shaped(v) for v in (region.n0, region.n1, *region.eigenvalues(d)))
-
-
 def metric(
     p: HamiltonianParams,
     d: DilationParams,
@@ -162,7 +156,7 @@ def metric(
     a_bar = -1j * p.omega * ts   # conjugate of K_00
     m = -1j * np.array([a_bar * eta[0] + eta[1], eta[0] + a_bar.conj() * eta[1]])
     eta, eta_dot = shaped(eta), shaped(m + m.conj().swapaxes(0, 1))
-    _, _, l, lam_p, lam_m = (shaped(v) for v in _scalars(d, ts, basis, y))
+    l, lam_p, lam_m = (shaped(v) for v in Region(basis, ts, y).eigenvalues(d))
     return MetricState(
         t=shaped(ts),
         eta=eta,
@@ -184,7 +178,8 @@ def eigenvalues(
 ) -> tuple:
     """(lam_plus, lam_minus) at t, a float or a 1-D array, without
     assembling the full state; each is shaped like t."""
-    return _scalars(d, t, _basis_for(p, basis))[3:]
+    ts, shaped = _on_time_axis(t)
+    return tuple(shaped(v) for v in Region(_basis_for(p, basis), ts).eigenvalues(d)[1:])
 
 
 def eta_evolution_residual(
@@ -219,6 +214,8 @@ def validity(ms: MetricState) -> bool:
 # --- validity regions ---------------------------------------------------------
 
 def _grid(a: float, b: float, step: float = SCAN_STEP) -> np.ndarray:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"interval [{a}, {b}] is not finite")
     if b < a:
         raise ValidationError(f"empty interval [{a}, {b}]")
     n = max(1, int(round((b - a) / step)))
@@ -241,6 +238,8 @@ class Region:
     basis again, in passes of REFINE_POINTS times."""
 
     def __init__(self, basis: SolutionBasis, ts: np.ndarray, y: np.ndarray | None = None):
+        if ts.size == 0 or np.isnan(ts).any():
+            raise ValidationError("a region needs at least one time and no NaN")
         if abs(ts).max() > basis.horizon:
             t_bad = ts[abs(ts) > basis.horizon][0]
             raise OverflowRangeError(f"t = {t_bad} beyond the numeric horizon {basis.horizon:.3f} of this basis")
@@ -287,10 +286,18 @@ def _refine_max(basis, bound, ts: np.ndarray, values: np.ndarray) -> float:
     return max(float(values[k]), Region(basis, np.linspace(lo, hi, REFINE_POINTS)).slice_max(bound))
 
 
+def _search_basis(p, basis, region) -> SolutionBasis:
+    """The basis a search runs on: `region.basis`, refusing a different
+    `basis`, or without a region `_basis_for(p, basis)`."""
+    if region is not None and basis not in (None, region.basis):
+        raise ValidationError("basis differs from region.basis, the basis a search given a region runs on")
+    return _basis_for(p, basis if region is None else region.basis)
+
+
 def _scan_region(p, interval, basis, region) -> Region:
     """`region` on the interval's scan grid if that is a prefix of it, else a new region."""
     ts = _grid(float(interval[0]), float(interval[1]))
-    basis = _basis_for(p, basis if region is None else region.basis)
+    basis = _search_basis(p, basis, region)
     return (region and region.prefix(ts)) or Region(basis, ts)
 
 
@@ -410,11 +417,11 @@ def breakdown_time(
 ) -> float | None:
     """First t in (0, t_max] where lam_minus crosses one, or None.
 
-    Scans with step 1e-3, read from `region` where its leading points are
-    that grid, and narrows the first invalid step to 1e-9 in passes of 33 points.
+    Scans with step 1e-3 on `region.basis` if a region is given, read
+    from `region` where its leading points are that grid, and narrows the
+    first invalid step to 1e-9 in passes of 33 points.
     """
-    basis = _basis_for(p, basis if region is None else region.basis)
-    return _breakdown_scan(d, 0.0, float(t_max), basis, region)
+    return _breakdown_scan(d, 0.0, float(t_max), _search_basis(p, basis, region), region)
 
 
 def metric_asymptotics(

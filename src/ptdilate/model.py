@@ -39,6 +39,8 @@ class HamiltonianParams:
     def __post_init__(self):
         if not self.omega > 0.0:
             raise ValidationError(f"omega must be positive, got {self.omega}")
+        if not np.isfinite((self.E, self.omega)).all():
+            raise ValidationError(f"E and omega must be finite, got {self.E}, {self.omega}")
 
 
 class PhaseLabel(Enum):

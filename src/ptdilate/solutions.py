@@ -50,9 +50,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "MU",
-    "T_SMALL",
-    "CLOSED_FORM_T_MAX",
     "Representation",
     "SolutionBasis",
     "solution_basis",

@@ -33,7 +33,6 @@ __all__ = [
     "RayArgument",
     "WhittakerIndex",
     "whittaker_w",
-    "dawson",
     "erfi",
     "hermite_poly",
 ]

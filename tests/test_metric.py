@@ -28,7 +28,7 @@ from ptdilate.metric import (
     refined_d1_bound,
     validity,
 )
-from ptdilate.evolve import propagate_analytic
+from ptdilate.evolve import propagate_analytic, simulate_dilated
 from ptdilate.model import HamiltonianParams
 from ptdilate.solutions import Representation, SolutionBasis, solution_basis
 
@@ -214,8 +214,9 @@ def _brent_refine_max(basis, bound, ts, values):
     from scipy.optimize import minimize_scalar
 
     def f(t):
-        n0, n1, _, lam_p, _ = metric_module._scalars(metric_module._UNIT, t, basis)
-        return bound(n0, n1, lam_p, basis.gram_det)
+        region = metric_module.Region(basis, np.array([t]))
+        lam_p = region.eigenvalues(metric_module._UNIT)[1]
+        return bound(region.n0, region.n1, lam_p, basis.gram_det)[0]
 
     k = int(np.argmax(values))
     lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
@@ -262,7 +263,7 @@ class TestSliceMaxOracle:
         region = metric_module.Region(basis, ts)
         value = region.slice_max(bound)
         end = interval[1] if sign > 0 else interval[0]
-        assert value == pytest.approx(sign * metric_module._scalars(metric_module._UNIT, end, basis)[0], rel=1e-15)
+        assert value == pytest.approx(sign * metric_module.Region(basis, np.array([end])).n0[0], rel=1e-15)
         assert value == pytest.approx(_brent_refine_max(basis, bound, ts, sign * region.n0), rel=1e-12, abs=0)
 
 
@@ -453,6 +454,24 @@ class TestRegion:
     def test_region_for_other_parameters_rejected(self):
         with pytest.raises(ValidationError, match="basis was built for"):
             breakdown_time(HamiltonianParams(1.0, 1.0), D_REF, 2.0, region=self._region(2.0))
+
+    # each search given a region and a basis too; the region on [0, 5] at
+    # the scan step holds every search's grid, at twice that step none
+    SEARCHES = {
+        "breakdown_time": lambda b, r: breakdown_time(P, D_REF, 5.0, b, region=r),
+        "equal_d_bound": lambda b, r: equal_d_bound(P, (0.0, 4.0), b, region=r),
+        "approx_bounds_interval": lambda b, r: approx_bounds_interval(P, (0.0, 4.0), b, region=r),
+        "refined_d1_bound": lambda b, r: refined_d1_bound(P, 3.5, (0.0, 2.1), b, region=r),
+    }
+
+    @pytest.mark.parametrize("step", [metric_module.SCAN_STEP, 2e-3], ids=["prefix", "fall_back"])
+    @pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
+    def test_basis_other_than_the_regions_rejected(self, search, step):
+        region = metric_module.Region(self.BASIS, metric_module._grid(0.0, 5.0, step))
+        with pytest.raises(ValidationError, match="differs from region.basis"):
+            search(solution_basis(P, Representation.WHITTAKER_GENERAL), region)
+        # an equal basis, built anew, gives the search's own answer
+        assert search(solution_basis(P), region) == search(None, None)
 
 
 def _per_point_breakdown(d, t_max):
@@ -683,3 +702,33 @@ class TestBasisParameters:
         with pytest.raises(ValidationError, match="basis was built for"):
             call(self.OTHER)
         call(solution_basis(P))   # the matching basis is accepted
+
+
+# non-finite numbers and empty grids at the library's entry points
+NON_FINITE = {
+    "breakdown_time_t_max_nan": lambda: breakdown_time(P, D_REF, math.nan),
+    "equal_d_bound_interval_nan": lambda: equal_d_bound(P, (0.0, math.nan)),
+    "simulate_dilated_span_nan": lambda: simulate_dilated(P, D_REF, np.array([1.0, 0.0]), (0.0, math.nan)),
+    "simulate_dilated_psi0_nan": lambda: simulate_dilated(P, D_REF, np.array([math.nan, 0.0]), (0.0, 1.0)),
+    "dilation_params_nan": lambda: DilationParams(math.nan, 1.0),
+    "dilation_params_inf": lambda: DilationParams(math.inf, 1.0),
+    "hamiltonian_params_omega_inf": lambda: HamiltonianParams(1.0, math.inf),
+    "hamiltonian_params_e_nan": lambda: HamiltonianParams(math.nan, 1.0),
+    "region_empty": lambda: metric_module.Region(solution_basis(P), np.array([])),
+    "region_nan": lambda: metric_module.Region(solution_basis(P), np.array([0.0, math.nan])),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_input_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_infinite_times_meet_the_horizon_first():
+    with pytest.raises(OverflowRangeError, match="horizon"):
+        breakdown_time(P, D_REF, math.inf)
+    with pytest.raises(OverflowRangeError, match="horizon"):
+        metric_module.Region(solution_basis(P), np.array([0.0, math.inf]))
+    with pytest.raises(ValidationError, match="omega must be positive"):
+        HamiltonianParams(1.0, math.nan)
