@@ -88,15 +88,13 @@ class Scenario:
                 raise ValidationError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.t_start < self.t_end:
             raise ValidationError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
-        if not self.grid_step >= (self.t_end - self.t_start) / MAX_GRID_POINTS:
-            raise ValidationError(
-                f"grid_step must be positive with at most {MAX_GRID_POINTS} steps, got {self.grid_step}"
-            )
-        # the integrator takes at least (t_end - t_start) / max_step steps
-        if not self.tolerances.max_step >= (self.t_end - self.t_start) / MAX_GRID_POINTS:
-            raise ValidationError(
-                f"tolerances.max_step must allow at most {MAX_GRID_POINTS} steps, got {self.tolerances.max_step}"
-            )
+        span = self.t_end - self.t_start   # the integrator takes at least span / max_step steps
+        for key, step in (("grid_step", self.grid_step), ("tolerances.max_step", self.tolerances.max_step)):
+            if not step > 0.0:
+                raise ValidationError(f"{key} must be positive, got {step}")
+            if not step >= span / MAX_GRID_POINTS:
+                raise ValidationError(f"{key} = {step} over [{self.t_start}, {self.t_end}] takes "
+                                      f"{span / step:.6g} steps, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         if self.h4_mode not in _H4_MODE_NAMES:
             raise ValidationError(f"unknown h4_mode {self.h4_mode!r}; use one of {_H4_MODE_NAMES}")
         if len(self.initial_state) != 4 or not all(math.isfinite(v) for v in self.initial_state):

@@ -18,13 +18,13 @@ The Whittaker representation is never rescaled onto the closed form;
 cross-representation checks compare ratios only.
 
 The Whittaker pair is evaluated in doubles.  Per sweep rate, one cached
-table holds both columns at knots from 0 to just past the horizon, built
-by Taylor steps of x' = (-i sigma_x + w t sigma_z) x, the phase-free
-system: x1 forward from its closed-form value at t = 0, x0, the recessive
-column, backward from past the horizon and scaled to its value at t = 0.
-A time is then one Taylor step from the knot on its left (x1) or right
-(x0).  Only the extended-precision references `_whittaker_pair_mp` and
-`SolutionBasis.y_pair_mp` import mpmath.
+table holds both columns at knots from 0 to just past the horizon, from one
+pass of Taylor steps of x' = (-i sigma_x + w t sigma_z) x, the phase-free
+system, as knot propagators: x1 forward from its value at t = 0, x0, the
+recessive column, backward by their adjugates from past the horizon and
+scaled to its value at t = 0.  A time is then one Taylor step from the knot
+on its left (x1) or right (x0).  Only the extended-precision references
+`_whittaker_pair_mp` and `SolutionBasis.y_pair_mp` import mpmath.
 
 E enters only through the common phase e^{-iEt}: each representation
 evaluates phase-free amplitudes, and `SolutionBasis.x_pair` alone applies it.
@@ -87,11 +87,12 @@ def _on_time_axis(t):
 
     Scalar t runs as a one-point array, so that scalar and array calls do
     their complex arithmetic in the same numpy loops; numpy's complex
-    scalar arithmetic rounds differently.
+    scalar arithmetic rounds differently.  A NaN time is refused here, for
+    every representation; an infinite one meets the horizon checks.
     """
     ts = np.asarray(t, dtype=float)
-    if ts.size == 0:
-        raise ValidationError("need at least one time")
+    if ts.size == 0 or np.isnan(ts).any():
+        raise ValidationError("need at least one time and no NaN")
     if ts.ndim == 0:
         return ts.reshape(1), lambda v: v[..., 0]
     return ts, lambda v: v
@@ -188,38 +189,38 @@ def _taylor_step(omega: float, centres: np.ndarray, s: np.ndarray, x: np.ndarray
     return np.array([sum_up, sum_down])
 
 
-def _carry(omega: float, x: tuple[complex, complex], centres: np.ndarray, h: np.ndarray) -> list:
-    """[x, x after step 1, ...]: x stepped by h[i] from centres[i] in turn.
-    The steps are taken in one array pass as 2x2 propagators, the steps of
-    (1, 0) and (0, 1), and chained in Python complex arithmetic."""
-    steps = _taylor_step(omega, np.repeat(centres, 2), np.repeat(h, 2), np.tile(np.eye(2), h.size))
-    out = [x]
-    for (a, b), (c, d) in steps.reshape(2, h.size, 2).transpose(1, 0, 2).tolist():
-        u, v = out[-1]
-        out.append((a * u + b * v, c * u + d * v))
-    return out
-
-
 @lru_cache(maxsize=32)
 def _whittaker_knots(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t_k, x0(t_k), x1(t_k)) on knots from 0 to just past the horizon,
     spaced h_k = KNOT_STEP / (1 + w t_k + 2 sqrt(w)), so that w t h stays
     below KNOT_STEP and w h^2 below KNOT_STEP^2 / 4, and TAYLOR_TERMS terms
-    sum each step to rounding.  Each column is carried in the direction it
-    grows: x1 forward from `_whittaker_at_zero`; x0, the recessive column,
-    backward by Miller's method (DLMF 3.6(iii)), from its leading direction
-    (1, -2i w t) at extra knots out to w t^2 = WHITTAKER_Z_ANCHOR, then
-    scaled to the larger entry of x0(0).  The extra knots are dropped."""
+    sum each step to rounding.  One array pass gives each step's propagator
+    F_k = [[a, b], [c, d]], the steps of (1, 0) and (0, 1), out to extra knots
+    at w t^2 = WHITTAKER_Z_ANCHOR.  Each column is chained through them in
+    Python complex arithmetic in the direction it grows: x1 forward from
+    `_whittaker_at_zero`; x0, the recessive column, backward by Miller's
+    method (DLMF 3.6(iii)) from its leading direction (1, -2i w t) at the last
+    knot by adj(F_k) = [[d, -b], [-c, a]], which is F_k^-1 as the system is
+    traceless (det F_k = 1, Liouville), then scaled to the larger entry of
+    x0(0).  The extra knots are dropped."""
     at_zero, sw = _whittaker_at_zero(omega), math.sqrt(omega)
     knots = [0.0]
     while knots[-1] <= math.sqrt(WHITTAKER_Z_ANCHOR / omega):
         knots.append(knots[-1] + KNOT_STEP / (1.0 + omega * knots[-1] + 2.0 * sw))
     knots = np.array(knots)
-    h = np.diff(knots)
+    n = knots.size - 1
     keep = np.searchsorted(knots, math.sqrt(WHITTAKER_Z_MAX / omega), side="right") + 1
-    x1 = _carry(omega, at_zero[1], knots[:keep - 1], h[:keep - 1])
-    start = (1.0, complex(0.0, -2.0 * omega * knots[-1]))
-    x0 = np.array(_carry(omega, start, knots[:0:-1], -h[::-1])[::-1][:keep]).T
+    steps = _taylor_step(omega, np.repeat(knots[:-1], 2), np.repeat(np.diff(knots), 2), np.tile(np.eye(2), n))
+    propagators = steps.reshape(2, n, 2).transpose(1, 0, 2).tolist()
+    x1 = [at_zero[1]]
+    for (a, b), (c, d) in propagators[:keep - 1]:
+        u, v = x1[-1]
+        x1.append((a * u + b * v, c * u + d * v))
+    x0 = [(1.0, complex(0.0, -2.0 * omega * knots[-1]))]
+    for (a, b), (c, d) in reversed(propagators):
+        u, v = x0[-1]
+        x0.append((d * u - b * v, a * v - c * u))
+    x0 = np.array(x0[::-1][:keep]).T
     i = int(abs(at_zero[0][1]) > abs(at_zero[0][0]))
     table = (knots[:keep], x0 * (at_zero[0][i] / x0[i, 0]), np.array(x1).T)
     for a in table:

@@ -113,6 +113,20 @@ class TestScenario:
         path = _write_scenario(tmp_path / "s.json", t_end=0.5, tolerances={"max_step": 0.5 / MAX_GRID_POINTS})
         assert Scenario.from_file(path).tolerances.max_step == 5e-7
 
+    def test_step_count_message_names_span_and_count(self, tmp_path, capsys):
+        # a valid grid step over too long a span: the message gives the span
+        # and the step count, not a complaint about the step
+        assert main(["breakdown", "--tmax", "1e9", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "[0.0, 1000000000.0]" in err and "1e+12 steps" in err and str(MAX_GRID_POINTS) in err
+        assert "must be positive" not in err
+        path = _write_scenario(tmp_path / "s.json", t_end=0.5, grid_step=0.1, tolerances={"max_step": 1e-7})
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert "tolerances.max_step = 1e-07 over [0.0, 0.5] takes 5e+06 steps" in capsys.readouterr().err
+        for step in ("0", "-1"):
+            assert main(["breakdown", "--grid-step", step, "--out", str(tmp_path)]) == 2
+            assert "grid_step must be positive" in capsys.readouterr().err
+
     def test_unreadable_file_exit_2(self, tmp_path):
         bad = tmp_path / "s.json"
         bad.write_text("{not json", encoding="utf-8")

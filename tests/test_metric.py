@@ -717,6 +717,21 @@ NON_FINITE = {
     "region_empty": lambda: metric_module.Region(solution_basis(P), np.array([])),
     "region_nan": lambda: metric_module.Region(solution_basis(P), np.array([0.0, math.nan])),
 }
+# a NaN time at every entry point that evaluates a basis, in either representation
+NAN_TIME = {
+    "x_pair": lambda p: solution_basis(p).x_pair(math.nan),
+    "y_pair": lambda p: solution_basis(p).y_pair(np.array([1.0, math.nan])),
+    "dual_amplitudes": lambda p: solution_basis(p).dual_amplitudes(math.nan),
+    "propagate_analytic": lambda p: propagate_analytic(p, np.array([1.0, 0.0]), 0.0, np.array([0.5, math.nan])),
+    "propagate_analytic_t0": lambda p: propagate_analytic(p, np.array([1.0, 0.0]), math.nan, 1.0),
+    "metric": lambda p: metric(p, D_REF, math.nan),
+    "assemble_dilated": lambda p: assemble_dilated(p, D_REF, np.array([0.5, math.nan])),
+}
+for _p in (P, HamiltonianParams(E=1.0, omega=0.37)):
+    NON_FINITE.update(
+        {f"{name}_time_nan_{solution_basis(_p).representation.value}": (lambda call=call, p=_p: call(p))
+         for name, call in NAN_TIME.items()}
+    )
 
 
 @pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())

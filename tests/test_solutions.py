@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptdilate import solutions
 from ptdilate.errors import DomainError, OverflowRangeError, ValidationError
 from ptdilate.model import HamiltonianParams, hamiltonian
 from ptdilate.solutions import (
+    KNOT_STEP,
     MU,
     Representation,
+    WHITTAKER_Z_ANCHOR,
     WHITTAKER_Z_MAX,
     SolutionBasis,
     _whittaker_at_zero,
@@ -217,6 +220,59 @@ class TestWhittakerKnotTable:
         basis = solution_basis(P_ONE)
         with pytest.raises(OverflowRangeError):
             basis.x_pair(_whittaker_knots(1.0)[0][-1] * 1.01)
+
+
+class TestKnotPropagators:
+    """The identity the knot table's one Taylor pass rests on: the phase-free
+    system is traceless, so each forward knot propagator F_k has det 1 and
+    its adjugate is the backward step."""
+
+    OMEGAS = [0.0015, 0.37, 1.0, 3.0, 10.0]
+
+    @staticmethod
+    def _knots_to_anchor(omega):
+        knots = [0.0]
+        while knots[-1] <= math.sqrt(WHITTAKER_Z_ANCHOR / omega):
+            knots.append(knots[-1] + KNOT_STEP / (1.0 + omega * knots[-1] + 2.0 * math.sqrt(omega)))
+        return np.array(knots)
+
+    @staticmethod
+    def _columns(omega, centres, s):
+        """The steps of (1, 0) and (0, 1) by s from the centres, each shape (2, n)."""
+        one, zero = np.ones_like(centres), np.zeros_like(centres)
+        return [solutions._taylor_step(omega, centres, s, np.array(e)) for e in ((one, zero), (zero, one))]
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_forward_propagators_are_unimodular(self, omega):
+        knots = self._knots_to_anchor(omega)
+        table_knots = _whittaker_knots(omega)[0]
+        np.testing.assert_array_equal(knots[:table_knots.size], table_knots)
+        (a, c), (b, d) = self._columns(omega, knots[:-1], np.diff(knots))
+        frobenius_sq = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        assert (abs(a * d - b * c - 1.0) / frobenius_sq).max() <= 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_x0_matches_a_backward_taylor_carry(self, omega):
+        # the backward steps taken directly, from t_{k+1} by -h_k
+        knots = self._knots_to_anchor(omega)
+        (a, c), (b, d) = self._columns(omega, knots[1:], -np.diff(knots))
+        x = [np.array([1.0, -2j * omega * knots[-1]])]
+        for k in range(knots.size - 2, -1, -1):
+            u, v = x[-1]
+            x.append(np.array([a[k] * u + b[k] * v, c[k] * u + d[k] * v]))
+        table_knots, table_x0, _ = _whittaker_knots(omega)
+        x0 = np.array(x[::-1][:table_knots.size]).T
+        at_zero = _whittaker_at_zero(omega)[0]
+        i = int(abs(at_zero[1]) > abs(at_zero[0]))
+        x0 = x0 * (at_zero[i] / x0[i, 0])
+        assert (abs(table_x0 - x0).max(axis=0) / abs(x0).max(axis=0)).max() <= 1e-13
+
+    def test_cold_table_takes_one_taylor_pass(self, monkeypatch):
+        calls, taylor_step = [], solutions._taylor_step
+        monkeypatch.setattr(solutions, "_taylor_step", lambda *args: calls.append(args) or taylor_step(*args))
+        _whittaker_knots.cache_clear()
+        _whittaker_knots(0.37)
+        assert len(calls) == 1
 
 
 class TestDualBasis:

@@ -30,7 +30,13 @@ w = 1/2, D = (3.5, 238) on [0, 3.9].  Printed, in microseconds:
   breakdown searches and its bound searches (the `breakdown_time` calls,
   and the bound-function calls, summed per run);
 - the basis points and calls of one `paper-figures` and one default
-  `bounds` run, counted by wrapping `SolutionBasis.dual_amplitudes`.
+  `bounds` run, counted by wrapping `SolutionBasis.dual_amplitudes`;
+- the Whittaker basis at w = 0.37, the sweep rate of the `scan_whittaker`
+  benchmark workload: the cold build of its knot table
+  (`_whittaker_knots`, its cache cleared before each of N calls), with the
+  number of `_taylor_step` calls one build makes, and one
+  `dual_amplitudes` pass on that workload's grid, 201 times from 0.0125 to
+  10 in steps of 0.05, with the table built (N calls).
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ def main() -> None:
         parser.error("--repeat must be at least 1")
     sys.path.insert(0, args.src)
 
-    from ptdilate import cli, evolve
+    from ptdilate import cli, evolve, solutions
     from ptdilate.dilation import H4Mode, assemble_dilated
     from ptdilate.metric import DilationParams
     from ptdilate.model import HamiltonianParams
@@ -201,6 +207,22 @@ def main() -> None:
         SolutionBasis.dual_amplitudes = dual_amplitudes
     for label, (points, calls, large) in counts.items():
         print(f"basis points of one {label} run: {points} in {calls} calls, {large} of them over 33 times")
+
+    omega = 0.37
+    taylor_calls, taylor_step = [], solutions._taylor_step
+    solutions._taylor_step = lambda *args: taylor_calls.append(args) or taylor_step(*args)
+    try:
+        solutions._whittaker_knots.cache_clear()
+        solutions._whittaker_knots(omega)
+    finally:
+        solutions._taylor_step = taylor_step
+    builds = _timed(lambda: solutions._whittaker_knots.cache_clear() or solutions._whittaker_knots(omega), [()] * n)
+    print(f"cold _whittaker_knots build, w = {omega}       {_median_us(builds)}  ({n} calls, "
+          f"{len(taylor_calls)} _taylor_step calls each)")
+    grid = cli.Scenario(omega=omega, t_start=0.0125, t_end=10.0, grid_step=0.05).validate().grid()
+    whittaker = solution_basis(HamiltonianParams(1.0, omega))
+    passes = _timed(whittaker.dual_amplitudes, [(grid,)] * n)
+    print(f"dual_amplitudes, w = {omega}, {grid.size} times          {_median_us(passes)}  ({n} calls)")
 
 
 if __name__ == "__main__":
